@@ -4,14 +4,17 @@ From the root of a checkout::
 
     python3 bench/run.py --workload claims-pipeline --seed 1 --seconds 30 --trace 0
 
-The workload's inputs are generated from the seed three times, each in a
-fresh process (``setup_s`` is the median); a further process then runs the
-workload's operations in a closed loop for ``--seconds`` with BLAS pinned to
-one thread.  With ``--trace 0`` the result carries the end-to-end metrics of
-``BENCHMARK.json``; with ``--trace 1`` every other iteration is traced and
-the result carries the per-layer metrics.  Everything before the last line
-of standard output is a human-readable summary; the last line is the JSON
-result.  Working files go to ``.bench_work/`` in the checkout.
+The workload's inputs are generated from the seed five to seven times,
+each in a fresh process (``setup_s`` is the median); a further process then
+runs the workload's operations in a closed loop for ``--seconds`` with BLAS
+pinned to one thread.  Every time is corrected to the host's reference
+speed by a probe timed next to it (``hostspeed.py``); the summary also
+prints the uncorrected medians.  With ``--trace 0`` the result carries the
+end-to-end metrics of ``BENCHMARK.json``; with ``--trace 1`` every other
+iteration is traced and the result carries the per-layer metrics.
+Everything before the last line of standard output is a human-readable
+summary; the last line is the JSON result.  Working files go to
+``.bench_work/`` in the checkout.
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ import sys
 import time
 from pathlib import Path
 
-SETUPS = 3
+import hostspeed
+
+#: set-ups per run: at least MIN_SETUPS, and more while they have taken less
+#: than SETUP_BUDGET_S in all, so that short set-ups get a steadier median
+MIN_SETUPS, MAX_SETUPS, SETUP_BUDGET_S = 5, 7, 8.0
 #: the whole run, setups included, must end well inside three minutes
 DEADLINE_S = 170.0
 PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -73,12 +80,17 @@ def measure(args, root: Path) -> tuple[dict, dict[str, list[float]]]:
               "--work", str(work)]
     deadline = time.monotonic() + DEADLINE_S
 
-    samples: dict[str, list[float]] = {"setup_s": [], "simulate.sample_path_s": []}
-    for k in range(SETUPS):
+    samples: dict[str, list[float]] = {"setup_s": [], "raw.setup_s": [], "simulate.sample_path_s": []}
+    k = 0
+    while k < MIN_SETUPS or (k < MAX_SETUPS and sum(samples["raw.setup_s"]) < SETUP_BUDGET_S):
+        before = hostspeed.probe()
         t = time.perf_counter()
         setup = run_child(child + ["setup"] + common, env, deadline, log, work / f"setup{k}.json")
-        samples["setup_s"].append(time.perf_counter() - t)
+        raw = time.perf_counter() - t
+        samples["raw.setup_s"].append(raw)
+        samples["setup_s"].append(hostspeed.corrected(raw, before, hostspeed.probe(), "records"))
         samples["simulate.sample_path_s"].append(setup["simulate.sample_path_s"])
+        k += 1
     m = run_child(child + ["measure"] + common + ["--seconds", str(args.seconds)],
                   env, deadline, log, work / "measure.json")
 
@@ -86,6 +98,7 @@ def measure(args, root: Path) -> tuple[dict, dict[str, list[float]]]:
     traced = [it for it in m["iterations"] if it["traced"]]
     for key in ("wall_s", "build_df_s", "solve_s", "simulate_s"):
         samples[key] = [it[key] for it in untraced]
+        samples["raw." + key] = [it["raw." + key] for it in untraced]
     samples["peak_rss_mb"] = [m["peak_rss_mb"]]
     if traced:
         for key in traced[0]["layers"]:
@@ -138,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
         metrics[w["name"]] = {"value": value, "unit": w["unit"]}
         print(f"# {w['name']:<28} {value:>14.6g} {w['unit']:<8} {len(values):>3}  "
               f"{tail_percentile(values)}")
+    raw = ", ".join(f"{key[4:]}={statistics.median(v):.6g}"
+                    for key, v in samples.items() if key.startswith("raw."))
+    print(f"# uncorrected wall-clock medians (s): {raw}")
     print(f"# {'failed_frac':<28} {m['failed'] / m['attempted']:>14.6g} {'ratio':<8} "
           f"({m['failed']} of {m['attempted']} operations failed)")
     print(json.dumps({

@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import hostspeed  # noqa: E402
 import inputs  # noqa: E402
 import run  # noqa: E402
 import tracer as tracing  # noqa: E402
@@ -52,6 +53,46 @@ def test_valid_outputs_pass_every_check(session):
     result = session.iterate()
     assert not result["raised"]
     assert session.check(result) == set()
+
+
+def test_every_operation_is_timed_raw_and_corrected(session):
+    result = session.iterate()
+    assert result["ops"].keys() == result["commands"].keys()
+    clock = result["clock"]
+    assert all(clock.raw(i) > 0 and clock.corrected(i) > 0 for i in result["ops"].values())
+    figures = workload.timings(result)
+    assert figures["raw.wall_s"] == pytest.approx(sum(clock.raw(i) for i in result["ops"].values()))
+    for key in ("wall_s", "build_df_s", "solve_s", "simulate_s"):
+        assert 0 < figures[key] <= figures["wall_s"]
+
+
+def test_a_long_operation_is_corrected_by_the_probes_around_it():
+    clock = hostspeed.Clock()
+    ref, slow = hostspeed.REF, {k: 2 * v for k, v in hostspeed.REF.items()}
+    clock.probes = [(1.0, slow), (2.5, slow), (3.5, ref), (13.5, ref), (14.0, slow), (15.0, slow),
+                    (16.0, slow)]
+    clock.ops = [("records", 4.0, 13.0), ("records", 3.0, 3.2), ("records", 13.6, 13.9)]
+    # three probes a side within 4.5 s: four slow ones outvote the two neighbours
+    assert clock.corrected(0) == pytest.approx(4.5)
+    # a short operation only sees its neighbours: one slow, one at reference speed
+    assert clock.corrected(1) == pytest.approx(0.2 / 1.5)
+    # one probe within 0.15 s after, none before: still one a side
+    assert clock.corrected(2) == pytest.approx(0.3 / 1.5)
+
+
+def test_correction_scales_by_the_mean_of_the_two_probes():
+    ref = hostspeed.REF
+    slow = {k: 2 * v for k, v in ref.items()}
+    for kind in hostspeed.KINDS:
+        assert hostspeed.corrected(2.0, ref, ref, kind) == pytest.approx(2.0)
+        # a host running at half speed on both sides halves the time
+        assert hostspeed.corrected(2.0, slow, slow, kind) == pytest.approx(1.0)
+        assert hostspeed.corrected(3.0, ref, slow, kind) == pytest.approx(2.0)
+    # records work is tracked by both parts, array work by the arithmetic alone
+    records_slow = dict(ref, records=4 * ref["records"])
+    assert hostspeed.corrected(2.0, records_slow, records_slow, "records") == pytest.approx(1.0)
+    assert hostspeed.corrected(2.0, records_slow, records_slow, "arithmetic") == pytest.approx(2.0)
+    assert set(hostspeed.probe()) == set(ref)
 
 
 def test_traced_and_untraced_outputs_are_bit_identical(session):

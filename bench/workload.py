@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+import hostspeed
 import inputs
 import tracer as tracing
 from renewalkit import cli, convolve, solver
@@ -44,6 +45,9 @@ NFOLD_ORDER = 4
 MC_ALPHA = 1e-6
 #: the three commands with an end-to-end metric of their own
 COMMAND_METRICS = {"build-df": "build_df_s", "solve": "solve_s", "simulate": "simulate_s"}
+#: the host-speed probe time that corrects each command (see ``hostspeed``)
+PROBE_KIND = {"build-df": "records", "solve": "records", "simulate": "arithmetic",
+              "library": "arithmetic"}
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,13 @@ class Spec:
 
 
 WORKLOADS = {
-    # claims does almost all the work: build-df on the 1e5-policy corpus,
-    # then every route on the 43-age grid it yields
-    "claims-pipeline": Spec(100_000, None, None, 100_000, recover_tol=0.03),
+    # claims does most of the work: build-df on a 5e4-policy corpus, then
+    # every route on the 43-age grid it yields
+    "claims-pipeline": Spec(50_000, None, None, 100_000, recover_tol=0.03),
     # solver dominates: every route on a 0.1-year grid (n = 501)
     "fine-grid-solve": Spec(10_000, (501, 0.1), None, 30_000),
     # simulate dominates: 1e5 paths over the whole 0.25-year grid (n = 201)
-    "mc-oracle": Spec(5_000, None, (201, 0.25), 100_000),
+    "mc-oracle": Spec(10_000, None, (201, 0.25), 100_000),
 }
 
 #: inputs of the warm-up call of every operation
@@ -153,16 +157,26 @@ class Session:
             G = convolve.stieltjes_convolve(G, F)
         return G
 
-    def iterate(self, tracer: tracing.Tracer | None = None) -> dict:
-        """Run one iteration; return its timings, kept values and raised ops."""
+    def iterate(self, tracer: tracing.Tracer | None = None,
+                clock: hostspeed.Clock | None = None) -> dict:
+        """Run one iteration; return its operations' clock indices, kept values and raised ops.
+
+        The host-speed probe runs before the first operation, after every CLI
+        command and every run of library calls, and after the last operation
+        (see ``hostspeed``). ``timings`` turns the result into times.
+        """
+        clock = clock or hostspeed.Clock()
         commands: dict[str, str] = {}
-        times: dict[str, float] = {}
+        ops: dict[str, int] = {}
         kept: dict[str, object] = {}
         raised: set[str] = set()
-        t0 = time.perf_counter()
+        clock.cut()
+        previous = None
         for command, name, thunk in self.operations():
+            if previous is not None and not command == previous == "library":
+                clock.cut()
             span_name = f"cli.{command}" if command != "library" else f"op.{name}"
-            t = time.perf_counter()
+            clock.start(PROBE_KIND[command])
             try:
                 if tracer is None:
                     kept[name] = thunk()
@@ -172,10 +186,10 @@ class Session:
             except Exception as exc:  # noqa: BLE001 - a raising op is a failed op
                 print(f"operation {name} raised: {exc!r}", file=sys.stderr)
                 raised.add(name)
-            times[name] = time.perf_counter() - t
-            commands[name] = command
-        wall = time.perf_counter() - t0
-        return {"wall": wall, "commands": commands, "times": times, "kept": kept, "raised": raised}
+            ops[name] = clock.stop()
+            commands[name] = previous = command
+        clock.cut()
+        return {"commands": commands, "ops": ops, "clock": clock, "kept": kept, "raised": raised}
 
     # -- checks -------------------------------------------------------------
 
@@ -285,6 +299,22 @@ class Session:
         return set() if ok else {"simulate"}
 
 
+def timings(result: dict) -> dict[str, float]:
+    """An iteration's figures: wall, command times, and their uncorrected twins.
+
+    Call it once the clock has probed after the iteration; a long
+    operation's correction also uses probes taken after it.
+    """
+    clock, ops, commands = result["clock"], result["ops"], result["commands"]
+    out = {}
+    for prefix, time_of in (("", clock.corrected), ("raw.", clock.raw)):
+        times = {name: time_of(i) for name, i in ops.items()}
+        out[prefix + "wall_s"] = sum(times.values())
+        for command, metric in COMMAND_METRICS.items():
+            out[prefix + metric] = sum(t for name, t in times.items() if commands[name] == command)
+    return out
+
+
 def warm_up(work: Path) -> None:
     """First call of each operation on the tiny inputs that ``do_setup`` wrote."""
     Session(TINY, 1, work / "warm").iterate()
@@ -371,7 +401,8 @@ def do_measure(args) -> dict:
     for role in session.laws:
         session.refs(role)  # the fixed laws' library solves, before the clock starts
     tr = tracing.Tracer()
-    iterations = []
+    clock = hostspeed.Clock()
+    iterations, results = [], []
     attempted = failed_ops = 0
     t_start = time.perf_counter()
     while True:
@@ -381,27 +412,23 @@ def do_measure(args) -> dict:
         if traced:
             tr.install()
         try:
-            result = session.iterate(tr if traced else None)
+            result = session.iterate(tr if traced else None, clock)
         finally:
             tr.uninstall()
         failed = session.check(result)
-        attempted += len(result["times"])
+        attempted += len(result["ops"])
         failed_ops += len(failed)
         for name in sorted(failed):
             print(f"iteration {len(iterations)}: {name} failed", file=sys.stderr)
-        iterations.append({
-            "traced": traced,
-            "wall_s": result["wall"],
-            **{metric: sum(t for name, t in result["times"].items()
-                           if result["commands"][name] == command)
-               for command, metric in COMMAND_METRICS.items()},
-            "layers": layer_metrics(tr, first) if traced else None,
-        })
+        iterations.append({"traced": traced, "layers": layer_metrics(tr, first) if traced else None})
+        results.append({key: result[key] for key in ("commands", "ops", "clock")})
         del result  # so that two iterations' outputs are never held at once
         elapsed = time.perf_counter() - t_start
         enough = len(iterations) >= (2 if args.trace else 1)
         if enough and elapsed * (len(iterations) + 1) / len(iterations) > args.seconds:
             break
+    for it, result in zip(iterations, results):
+        it.update(timings(result))
     tr.write(work / "spans.json")
     return {
         "attempted": attempted,
