@@ -16,7 +16,7 @@ ordinary one-variable convolution when the operands depend only on t - s.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -33,6 +33,20 @@ __all__ = [
 QuadratureRule = Literal["rect-left", "rect-right", "trapezoid"]
 
 _NEG_TOL = 1e-9
+
+
+#: The one quadrature weight table.  Per rule, the weights in units of h on
+#: the nodes tau = s + j of [s, t] with m = t - s steps, as (first j = 0,
+#: second j = 1, odd j >= 3, even j >= 2, last j = m), for even and for odd
+#: m.  Only Simpson depends on the parity of m: an odd span takes one
+#: trapezoid step first (m = 1 is that step alone, with last weight 1/2;
+#: no solver reads it, as it multiplies H(t, t) = 0).
+RULE_WEIGHTS = {
+    "rect-right": ((0.0, 1.0, 1.0, 1.0, 1.0),) * 2,
+    "rect-left": ((1.0, 1.0, 1.0, 1.0, 0.0),) * 2,
+    "trapezoid": ((0.5, 1.0, 1.0, 1.0, 0.5),) * 2,
+    "simpson": ((1 / 3, 4 / 3, 4 / 3, 2 / 3, 1 / 3), (1 / 2, 5 / 6, 2 / 3, 4 / 3, 1 / 3)),
+}
 
 
 def increments_from_df(F: TwoTimeMatrix) -> TwoTimeMatrix:
@@ -111,15 +125,11 @@ def density_convolve(
     require_same_grid(f, g)
     h = f.grid.step_h
     fv, gv = f.values, g.values
+    if rule not in get_args(QuadratureRule):
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    w_first, *_, w_last = RULE_WEIGHTS[rule][0]  # interior weights are all 1
     full = gv @ fv  # sum over tau = s..t of g(s,tau) f(tau,t)
     first = np.diagonal(gv)[:, None] * fv  # tau = s term
     last = gv * np.diagonal(fv)[None, :]  # tau = t term
-    if rule == "rect-left":
-        out = (full - last) * h
-    elif rule == "rect-right":
-        out = (full - first) * h
-    elif rule == "trapezoid":
-        out = (full - 0.5 * first - 0.5 * last) * h
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    out = (full - (1.0 - w_first) * first - (1.0 - w_last) * last) * h
     return TwoTimeMatrix(f.grid, out, "generic")

@@ -150,13 +150,6 @@ class TwoTimeMatrix:
             raise ValueError(f"query with s = {s_idx} > t = {t_idx} is outside the domain")
         return float(self.values[s_idx, t_idx])
 
-    def with_kind(self, kind: str) -> "TwoTimeMatrix":
-        """Same values re-tagged (and re-validated) as another kind."""
-        return TwoTimeMatrix(self.grid, self.values, kind)
-
-    def same_grid(self, other: "TwoTimeMatrix") -> bool:
-        return self.grid == other.grid
-
 
 def require_same_grid(a: TwoTimeMatrix, b: TwoTimeMatrix) -> None:
     if a.grid != b.grid:
@@ -189,20 +182,20 @@ def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
         m = _HEADER_RE.match(header)
         if m is None:
             raise ValueError(f"{path}: malformed header line {header!r}")
-        n = int(m.group("n"))
-        grid = TimeGrid(float(m.group("origin")), float(m.group("h")), n)
-        values = np.zeros((n, n))
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: expected {n} data rows, found {i}")
-            row = line.rstrip("\n").split("\t")
-            if len(row) != n - i:
-                raise ValueError(f"{path}: row {i} has {len(row)} values, expected {n - i}")
-            values[i, i:] = [float(x) for x in row]
-        trailing = fh.read().strip()
-        if trailing:
-            raise ValueError(f"{path}: unexpected content after {n} data rows")
+        lines = fh.readlines()
+    n = int(m.group("n"))
+    grid = TimeGrid(float(m.group("origin")), float(m.group("h")), n)
+    # count the rows before trusting the header's n with an n x n allocation
+    if len(lines) < n:
+        raise ValueError(f"{path}: expected {n} data rows, found {len(lines)}")
+    values = np.zeros((n, n))
+    for i, line in enumerate(lines[:n]):
+        row = line.rstrip("\n").split("\t")
+        if len(row) != n - i:
+            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {n - i}")
+        values[i, i:] = [float(x) for x in row]
+    if "".join(lines[n:]).strip():
+        raise ValueError(f"{path}: unexpected content after {n} data rows")
     return TwoTimeMatrix(grid, values, m.group("kind"))
 
 

@@ -45,6 +45,12 @@ def matches_published(computed: float, published: float, tol: float = 1e-6) -> b
     return abs(round(computed, decimals) - published) <= 1e-12
 
 
+def _require(ok: bool, message: str) -> None:
+    """Fail a check; an explicit raise, so ``python -O`` cannot strip it."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_waiting_probs(verbose: bool) -> str:
     worst = 0.0
     for transition in ("first-to-second", "second-to-third"):
@@ -54,9 +60,9 @@ def _check_waiting_probs(verbose: bool) -> str:
         pmf = np.diff(df, prepend=0.0)[1:]
         for got, want in zip(pmf, golden.waiting_probs(transition)):
             worst = max(worst, abs(got - want))
-            assert matches_published(got, want), f"{transition}: {got} vs published {want}"
+            _require(matches_published(got, want), f"{transition}: {got} vs published {want}")
     totals = (golden.waiting_counts("first-to-second").sum(), golden.waiting_counts("second-to-third").sum())
-    assert tuple(int(t) for t in totals) == golden.WAITING_TOTALS, f"count totals {totals}"
+    _require(tuple(int(t) for t in totals) == golden.WAITING_TOTALS, f"count totals {totals}")
     return f"max |pmf - published| = {worst:.2e}" if verbose else "probability columns reproduced"
 
 
@@ -69,10 +75,10 @@ def _check_no_claim_probs(verbose: bool) -> str:
     for label, total, quiet, p_no, p_claim in rows:
         got_no, got_claim = quiet / total, 1.0 - quiet / total
         worst = max(worst, abs(got_no - p_no), abs(got_claim - p_claim))
-        assert matches_published(got_no, p_no), f"age {label}: {got_no} vs {p_no}"
-        assert matches_published(got_claim, p_claim), f"age {label}: {got_claim} vs {p_claim}"
+        _require(matches_published(got_no, p_no), f"age {label}: {got_no} vs {p_no}")
+        _require(matches_published(got_claim, p_claim), f"age {label}: {got_claim} vs {p_claim}")
     grand_total = sum(r[1] for r in golden.NO_CLAIM_ROWS) + golden.NO_CLAIM_POOLED[0]
-    assert grand_total == golden.NO_CLAIM_GRAND_TOTAL[0], f"grand total {grand_total}"
+    _require(grand_total == golden.NO_CLAIM_GRAND_TOTAL[0], f"grand total {grand_total}")
     return f"max |prob - published| = {worst:.2e}" if verbose else "probability columns reproduced"
 
 
@@ -86,7 +92,7 @@ def _check_poisson(verbose: bool) -> str:
     for tag in ("rect-right", "rect-left", "trapezoid", "simpson"):
         H = solve_quadrature(f, F, SolverMethod(tag))
         results[tag] = H.at(0, grid.n_points - 1)
-        assert 4.9 <= results[tag] <= 5.1, f"{tag}: H(0,5) = {results[tag]}"
+        _require(4.9 <= results[tag] <= 5.1, f"{tag}: H(0,5) = {results[tag]}")
     if verbose:
         return "  ".join(f"{tag}={val:.5f}" for tag, val in results.items())
     return "H(0,5) within [4.9, 5.1] for all four rules"
@@ -98,13 +104,13 @@ def _check_geometric(verbose: bool) -> str:
     F = homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
     H = solve_discrete(F)
     err = max(abs(H.at(0, t) - p * t) for t in range(T + 1))
-    assert err <= 1e-12, f"max |H(0,t) - pt| = {err}"
+    _require(err <= 1e-12, f"max |H(0,t) - pt| = {err}")
     pmf = counting_pmf(F, 0, 8, tol=1e-14)
     worst = 0.0
     for k in range(9):
         want = math.comb(8, k) * p**k * (1 - p) ** (8 - k)
         worst = max(worst, abs(pmf.probs[k] - want))
-    assert worst <= 1e-10, f"pmf vs Binomial(8, 0.25): max diff {worst}"
+    _require(worst <= 1e-10, f"pmf vs Binomial(8, 0.25): max diff {worst}")
     return (
         f"|H - pt| <= {err:.2e}, pmf vs binomial <= {worst:.2e}"
         if verbose
@@ -120,16 +126,16 @@ def _check_oracle_triangle(verbose: bool) -> str:
         H = solve_discrete(F)
         S = solve_series(F, tol=1e-12).renewal
         worst_pair = max(worst_pair, np.abs(H.values - S.values).max())
-        assert worst_pair <= 1e-10, f"discrete vs series: {worst_pair}"
+        _require(worst_pair <= 1e-10, f"discrete vs series: {worst_pair}")
         seed = int(rng.integers(2**63))
         est = estimate_renewal_function(F, SimConfig(20_000, seed, 0, 12))
         for j, t in enumerate(est.t_indices()):
             diff = abs(est.means[j] - H.at(0, int(t)))
             if est.std_errs[j] == 0.0:
-                assert diff == 0.0, f"zero-variance cell t={t} with diff {diff}"
+                _require(diff == 0.0, f"zero-variance cell t={t} with diff {diff}")
             else:
                 worst_z = max(worst_z, diff / est.std_errs[j])
-                assert diff <= 3.0 * est.std_errs[j], f"t={t}: diff {diff} > 3 SE"
+                _require(diff <= 3.0 * est.std_errs[j], f"t={t}: diff {diff} > 3 SE")
     if verbose:
         return f"max |discrete - series| = {worst_pair:.2e}, max MC z-score = {worst_z:.2f}"
     return "back-substitution, series and Monte Carlo agree"

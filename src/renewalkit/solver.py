@@ -5,13 +5,14 @@ The discrete-time equation
     H(s, t) = F(s, t) + sum_{x = s+1..t} v(s, x) H(x, t)
 
 is a unit upper-triangular linear system (determinant 1), solved exactly by
-backward substitution column by column.  The continuous-time equation
+backward substitution, one row of H at a time.  The continuous-time equation
 
     H(s, t) = F(s, t) + int_s^t f(s, tau) H(tau, t) dtau
 
 is discretised with rectangle, trapezoid or composite Simpson weights; when
 the weight stencil touches tau = s the diagonal term is resolved
-algebraically rather than iteratively.  The convolution series
+algebraically rather than iteratively; the exact solve is the same row
+sweep with the right-rectangle rule at h = 1.  The convolution series
 H = sum_n F^(n) provides an independent cross-check of both.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import increments_from_df
+from .convolve import RULE_WEIGHTS, increments_from_df
 from .grids import TimeGrid, TwoTimeMatrix, require_same_grid
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
     "solve_series",
 ]
 
-QUADRATURE_TAGS = ("rect-right", "rect-left", "trapezoid", "simpson")
+QUADRATURE_TAGS = tuple(RULE_WEIGHTS)
 METHOD_TAGS = ("exact-discrete",) + QUADRATURE_TAGS
 
 #: Below this, 1 - w0 * f(u, u) counts as singular: the step is too large
@@ -106,20 +107,14 @@ class CountingPmf:
 def solve_discrete(F: TwoTimeMatrix) -> TwoTimeMatrix:
     """Exact solve of the discrete renewal equation by back-substitution.
 
-    For each fixed t the column H(., t) is filled backwards from s = t - 1
-    to 0; H(t, t) = 0, so the x = t term never appears and the recursion
-    never divides.
+    This is the right-rectangle row sweep with kernel v and h = 1: the
+    x = t term multiplies H(t, t) = 0 and v(s, s) = 0, so the divisor is
+    identically 1 and the solve has no failure path.
     """
     if F.kind != "distribution":
         raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
     v = increments_from_df(F).values
-    Fv = F.values
-    n = F.n_points
-    H = np.zeros_like(Fv)
-    for t in range(1, n):
-        for s in range(t - 1, -1, -1):
-            H[s, t] = Fv[s, t] + np.dot(v[s, s + 1 : t], H[s + 1 : t, t])
-    return TwoTimeMatrix(F.grid, H, "renewal")
+    return TwoTimeMatrix(F.grid, _row_sweep(v, F.values, 1.0, "rect-right"), "renewal")
 
 
 def solve_series(F: TwoTimeMatrix, tol: float = 1e-12) -> SeriesResult:
@@ -150,36 +145,43 @@ def solve_series(F: TwoTimeMatrix, tol: float = 1e-12) -> SeriesResult:
     return SeriesResult(TwoTimeMatrix(F.grid, H, "renewal"), n_terms)
 
 
-def _weights(rule: str, h: float, m: int) -> np.ndarray:
-    """Quadrature weights over tau = u..u+m for an interval of m subintervals."""
-    w = np.zeros(m + 1)
-    if m == 0:
-        return w
-    if rule == "rect-right":
-        w[1:] = h
-    elif rule == "rect-left":
-        w[:-1] = h
-    elif rule == "trapezoid":
-        w[:] = h
-        w[0] = w[-1] = 0.5 * h
-    elif rule == "simpson":
-        if m == 1:
-            w[0] = w[-1] = 0.5 * h
-        elif m % 2 == 0:
-            w[:] = 2.0 * h / 3.0
-            w[1::2] = 4.0 * h / 3.0
-            w[0] = w[-1] = h / 3.0
-        else:
-            # odd subinterval count: one trapezoid step, then composite
-            # Simpson on the remaining even stretch
-            w[0] = 0.5 * h
-            w[1] = 0.5 * h + h / 3.0
-            w[2::2] = 4.0 * h / 3.0
-            w[3::2] = 2.0 * h / 3.0
-            w[-1] = h / 3.0
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    return w
+def _row_sweep(K: np.ndarray, F: np.ndarray, h: float, rule: str) -> np.ndarray:
+    """Back-substitute H = F + quadrature of K H one row at a time, last row first.
+
+    Row u solves, for every k > u at once with m = k - u and ``RULE_WEIGHTS``,
+    (1 - w_0(m) K(u, u)) H(u, k) = F(u, k) + sum_{j=1..m-1} w_j(m) K(u, u+j) H(u+j, k);
+    the j = m term drops as H(k, k) = 0.  Interior weights depend only on the
+    parities of j and m: one vector-matrix product per parity of j, plus a
+    j = 1 correction.
+    """
+    n = len(F)
+    W = h * np.array(RULE_WEIGHTS[rule])  # rows: even m, odd m
+    m = np.arange(n)
+    parity = (m[None, :] - m[:, None]) % 2
+    D = 1.0 - W[parity, 0] * np.diagonal(K)[:, None]
+    bad = np.triu(D < SINGULAR_TOL, k=1)
+    if bad.any():
+        # report the first cell in column order, each column bottom-up
+        k = int(np.argmax(bad.any(axis=0)))
+        u = int(np.nonzero(bad[:, k])[0][-1])
+        raise ValueError(
+            f"singular diagonal at (u={u}, k={k}): 1 - w0*f(u,u) = {D[u, k]:.3e} "
+            f"(step h = {h} too large relative to the density at zero lag)"
+        )
+    _, second, odd, even, _ = W[m % 2].T
+    H = np.zeros_like(F)
+    for u in range(n - 2, -1, -1):
+        lag = slice(1, n - u)
+        k_row = K[u, u + 1 :]
+        below = H[u + 1 :, u + 1 :]
+        rhs = (
+            F[u, u + 1 :]
+            + odd[lag] * (k_row[0::2] @ below[0::2])
+            + even[lag] * (k_row[1::2] @ below[1::2])
+            + (second[lag] - odd[lag]) * (k_row[0] * below[0])
+        )
+        H[u, u + 1 :] = rhs / D[u, u + 1 :]
+    return H
 
 
 def solve_quadrature(
@@ -187,10 +189,10 @@ def solve_quadrature(
 ) -> TwoTimeMatrix:
     """Quadrature solve of the continuous renewal equation on the native grid.
 
-    For each column k the recursion runs backwards over u.  Rules whose
-    stencil includes tau = u produce an implicit term; the equation is then
-    solved algebraically for H(u, k) by dividing by 1 - w0 f(u, u).  A
-    near-zero divisor aborts with the offending location.
+    Rows of H are filled from the last up.  Rules whose stencil includes
+    tau = u produce an implicit term; the equation is then solved
+    algebraically for H(u, k) by dividing by 1 - w0 f(u, u).  A near-zero
+    divisor aborts, before any solving, with the offending location.
     """
     if method.tag not in QUADRATURE_TAGS:
         raise ValueError(f"method {method.tag!r} is not a quadrature rule; use solve_discrete")
@@ -205,22 +207,7 @@ def solve_quadrature(
             f"method step_h = {method.step_h} does not match the grid step {h}; "
             "resampling is not supported"
         )
-    n = f.n_points
-    fv, Fv = f.values, F.values
-    wtab = [_weights(method.tag, h, m) for m in range(n)]
-    H = np.zeros_like(Fv)
-    for k in range(1, n):
-        for u in range(k - 1, -1, -1):
-            w = wtab[k - u]
-            rhs = Fv[u, k] + np.dot(w[1:] * fv[u, u + 1 : k + 1], H[u + 1 : k + 1, k])
-            d = 1.0 - w[0] * fv[u, u]
-            if d < SINGULAR_TOL:
-                raise ValueError(
-                    f"singular diagonal at (u={u}, k={k}): 1 - w0*f(u,u) = {d:.3e} "
-                    f"(step h = {h} too large relative to the density at zero lag)"
-                )
-            H[u, k] = rhs / d
-    return TwoTimeMatrix(f.grid, H, "renewal")
+    return TwoTimeMatrix(f.grid, _row_sweep(f.values, F.values, h, method.tag), "renewal")
 
 
 def counting_pmf(

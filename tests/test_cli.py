@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import renewalkit
 from renewalkit import golden
 from renewalkit.cli import main
 from renewalkit.grids import TimeGrid, read_matrix_tsv, write_matrix_tsv
@@ -195,3 +201,23 @@ def test_selftest_detects_corrupted_fixture(capsys, monkeypatch):
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL waiting-time probabilities" in out
+
+def test_selftest_fails_under_optimised_python():
+    # ``python -O`` strips assert statements; the checks must fail regardless
+    script = (
+        "import sys\n"
+        "from renewalkit import golden\n"
+        "from renewalkit.cli import main\n"
+        "rows = [list(r) for r in golden._WAITING]\n"
+        "rows[2][1] += 1\n"
+        "golden._WAITING = [tuple(r) for r in rows]\n"
+        "sys.exit(main(['selftest']))\n"
+    )
+    src = str(Path(renewalkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL waiting-time probabilities" in proc.stdout

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,10 @@ def test_tsv_rejects_malformed_files(tmp_path):
     trailing.write_text("\n".join(lines) + "\njunk\n")
     with pytest.raises(ValueError, match="unexpected content"):
         read_matrix_tsv(trailing)
+
+    # the header's n is checked against the rows present before any allocation
+    huge = tmp_path / "huge.tsv"
+    huge.write_text("\n".join([lines[0].replace("n=2", "n=1000000000")] + lines[1:]) + "\n")
+    expected = f"{huge}: expected 1000000000 data rows, found 2"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        read_matrix_tsv(huge)

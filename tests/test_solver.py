@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewalkit.convolve import increments_from_df
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
 from renewalkit.solver import (
+    QUADRATURE_TAGS,
     SolverMethod,
     counting_pmf,
     density_from_differences,
@@ -146,14 +149,77 @@ def test_discrete_continuous_equivalence_at_unit_step():
         assert np.abs(H_disc.values - H_quad.values).max() <= 1e-12
 
 
-def test_singular_diagonal_aborts_with_location():
+@pytest.mark.parametrize("tag, diag", [("trapezoid", 2.0), ("rect-left", 1.0), ("simpson", 2.0)])
+def test_singular_diagonal_aborts_with_location(tag, diag):
     grid = TimeGrid(0.0, 1.0, 4)
     F = TwoTimeMatrix(grid, np.zeros((4, 4)), "distribution")
     vals = np.zeros((4, 4))
-    vals[np.diag_indices(4)] = 2.0  # w0 = h/2 for trapezoid, so 1 - w0 f = 0
+    vals[np.diag_indices(4)] = diag  # w0 * f = 1 at m = 1, so 1 - w0 f = 0
     f = TwoTimeMatrix(grid, vals, "density")
     with pytest.raises(ValueError, match=r"singular diagonal at \(u=0, k=1\)"):
-        solve_quadrature(f, F, SolverMethod("trapezoid"))
+        solve_quadrature(f, F, SolverMethod(tag))
+
+
+def _textbook_weights(tag, h, m):
+    """Weights on tau = u..u+m written out node by node."""
+    if tag == "rect-right":
+        return [0.0] + [h] * m
+    if tag == "rect-left":
+        return [h] * m + [0.0]
+    if tag == "trapezoid":
+        return [h / 2] + [h] * (m - 1) + [h / 2]
+    # composite Simpson; an odd span takes one trapezoid step first
+    w = [0.0] * (m + 1)
+    start = m % 2
+    if start:
+        w[0] += h / 2
+        w[1] += h / 2
+    for a in range(start, m, 2):
+        w[a] += h / 3
+        w[a + 1] += 4 * h / 3
+        w[a + 2] += h / 3
+    return w
+
+
+def _reference_solve(K, F, h, tag):
+    """Cell-by-cell solve of H = F + sum_j w_j K(u, u+j) H(u+j, k), column by column."""
+    n = len(F)
+    H = np.zeros((n, n))
+    for k in range(1, n):
+        for u in range(k - 1, -1, -1):
+            w = _textbook_weights(tag, h, k - u)
+            rhs = F[u, k] + sum(w[j] * K[u, u + j] * H[u + j, k] for j in range(1, k - u + 1))
+            H[u, k] = rhs / (1.0 - w[0] * K[u, u])
+    return H
+
+
+@pytest.mark.parametrize("tag", ("exact-discrete",) + QUADRATURE_TAGS)
+def test_every_rule_matches_a_cell_by_cell_reference(tag):
+    rng = np.random.default_rng(53)
+    for n in (12, 13):
+        for h in (1.0, 0.25):
+            for diag in (0.0, 0.4):
+                F = random_defective_df(rng, n, step_h=h)
+                if tag == "exact-discrete":
+                    got = solve_discrete(F).values
+                    v = increments_from_df(F).values
+                    want = _reference_solve(v, F.values, 1.0, "rect-right")
+                else:
+                    dens = rng.uniform(0.0, 2.0 / (n * h), (n, n))  # O(1) mass per row
+                    dens[np.diag_indices(n)] = rng.uniform(0.0, diag, n)
+                    f = TwoTimeMatrix(F.grid, dens, "density")
+                    got = solve_quadrature(f, F, SolverMethod(tag)).values
+                    want = _reference_solve(f.values, F.values, h, tag)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_exact_solve_residual_is_at_round_off(n, seed):
+    F = random_defective_df(np.random.default_rng(seed), n)
+    H = solve_discrete(F).values
+    v = increments_from_df(F).values
+    assert np.abs(H - F.values - v @ H).max() <= 1e-12
 
 
 def test_solver_method_validation():
