@@ -9,12 +9,12 @@ together.
 """
 
 from .claims import (
+    ClaimRecords,
     CleaningConfig,
     DurationHistogram,
     IngestReport,
     NoClaimTable,
     OccurrenceTable,
-    PolicyRecord,
     build_duration_histogram,
     build_occurrence_table,
     histogram_to_df,
@@ -41,13 +41,13 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClaimRecords",
     "CleaningConfig",
     "CountingPmf",
     "DurationHistogram",
     "IngestReport",
     "NoClaimTable",
     "OccurrenceTable",
-    "PolicyRecord",
     "RenewalEstimate",
     "SeriesResult",
     "SimConfig",

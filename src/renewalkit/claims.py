@@ -4,11 +4,15 @@ The pipeline is deliberately dumb: clean the records, count claim
 occurrences by (renewal age, claim age), normalise the rows.  Ages are
 integer completed years, age 18 is grid index 0, and entry ages at or past
 the pooling cap (default 60) are compiled together.
+
+Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
+(policy, age); every count table is an ``np.bincount`` over its columns.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,13 +22,14 @@ from .grids import TimeGrid, TwoTimeMatrix
 
 __all__ = [
     "BASE_AGE",
+    "ClaimRecords",
     "CleaningConfig",
     "DurationHistogram",
     "IngestReport",
+    "MAX_AGE",
     "NoClaimRow",
     "NoClaimTable",
     "OccurrenceTable",
-    "PolicyRecord",
     "TRANSITIONS",
     "build_duration_histogram",
     "build_occurrence_table",
@@ -36,6 +41,9 @@ __all__ = [
 
 #: Grid index 0 corresponds to this age.
 BASE_AGE = 18
+
+#: Ages read from the CSVs above this value are rejected as corrupt.
+MAX_AGE = 150
 
 TRANSITIONS = ("entry-to-first", "first-to-second", "second-to-third", "merged")
 
@@ -54,21 +62,43 @@ class CleaningConfig:
     zero_duration: str = "bucket1"
 
     def __post_init__(self) -> None:
-        if self.impute_entry_age < BASE_AGE:
-            raise ValueError(f"impute_entry_age must be >= {BASE_AGE}")
+        if not BASE_AGE <= self.impute_entry_age <= MAX_AGE:
+            raise ValueError(f"impute_entry_age must be in [{BASE_AGE}, {MAX_AGE}]")
         if self.cap_age <= BASE_AGE:
             raise ValueError(f"cap_age must be > {BASE_AGE}")
         if self.zero_duration not in ("bucket1", "discard"):
             raise ValueError("zero_duration must be 'bucket1' or 'discard'")
 
 
-@dataclass(frozen=True)
-class PolicyRecord:
-    """One insured person after cleaning: entry age plus retained claim ages."""
+@dataclass(frozen=True, eq=False)
+class ClaimRecords:
+    """Cleaned records as columns.
 
-    policy_id: str
-    entry_age: int
-    claim_ages: tuple[int, ...] = ()
+    ``policy_ids`` and ``entry_age`` have one entry per retained policy;
+    ``claim_policy`` (index into the policy columns) and ``claim_age`` have
+    one entry per retained claim, sorted by (policy, age).  Entry ages are
+    at least ``BASE_AGE`` and no claim predates its policy's entry.
+    """
+
+    policy_ids: tuple[str, ...]
+    entry_age: np.ndarray = field(repr=False)
+    claim_policy: np.ndarray = field(repr=False)
+    claim_age: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("entry_age", "claim_policy", "claim_age"):
+            col = np.asarray(getattr(self, name), dtype=np.int64)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        entry, p, c = self.entry_age, self.claim_policy, self.claim_age
+        if len(entry) != len(self.policy_ids) or len(p) != len(c):
+            raise ValueError("each policy column and each claim column must have one length")
+        if np.any((p < 0) | (p >= len(entry))):
+            raise ValueError(f"claim_policy must index the {len(entry)} policies")
+        if np.any((np.diff(p) < 0) | ((np.diff(p) == 0) & (np.diff(c) < 0))):
+            raise ValueError("claims must be sorted by (policy, age)")
+        if np.any(entry < BASE_AGE) or np.any(c < entry[p]):
+            raise ValueError(f"entry ages must be >= {BASE_AGE} and no claim may predate its entry")
 
 
 @dataclass
@@ -88,24 +118,24 @@ def ingest(
     policies_file: str | Path,
     claims_file: str | Path,
     cleaning: CleaningConfig = CleaningConfig(),
-) -> tuple[list[PolicyRecord], IngestReport]:
+) -> tuple[ClaimRecords, IngestReport]:
     """Read, validate and clean the two CSVs.
 
     Cleaning rules: a missing entry age is imputed to the configured
     default; an entry age below 18 rejects the whole policy (counted, not
-    fatal); claims dated before the entry age or before the previous
-    retained claim are discarded; same-age claims follow ``zero_duration``.
-    Malformed rows and claims pointing at unknown policies raise with the
-    file and line number.
+    fatal) and discards its claims; claims are sorted within each policy,
+    claims dated before the entry age are discarded, and a claim at the
+    same age as its renewal (the entry or the previous claim) follows
+    ``zero_duration``.  Ages above ``MAX_AGE``, malformed rows and claims
+    pointing at unknown policies raise with the file and line number.
     """
     report = IngestReport()
-    entry_by_id: dict[str, int] = {}
-    order: list[str] = []
-    rejected: set[str] = set()
+    index: dict[str, int] = {}  # policy id -> column index, -1 if rejected
+    ids: list[str] = []
+    entries: list[int] = []
 
-    for lineno, row in _csv_rows(policies_file, ("policy_id", "entry_age")):
-        pid, age_text = row
-        if pid in entry_by_id or pid in rejected:
+    for lineno, (pid, age_text) in _csv_rows(policies_file, ("policy_id", "entry_age")):
+        if pid in index:
             raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
         report.policies_read += 1
         if age_text == "":
@@ -115,36 +145,33 @@ def ingest(
             entry_age = _parse_age(age_text, policies_file, lineno)
             if entry_age < BASE_AGE:
                 report.policies_rejected += 1
-                rejected.add(pid)
+                index[pid] = -1
                 continue
-        entry_by_id[pid] = entry_age
-        order.append(pid)
+        index[pid] = len(ids)
+        ids.append(pid)
+        entries.append(entry_age)
 
-    claims_by_id: dict[str, list[int]] = {pid: [] for pid in order}
-    for lineno, row in _csv_rows(claims_file, ("policy_id", "claim_age")):
-        pid, age_text = row
+    owners, ages = array("q"), array("q")
+    for lineno, (pid, age_text) in _csv_rows(claims_file, ("policy_id", "claim_age")):
         report.claims_read += 1
-        if pid in rejected:
-            report.claims_discarded += 1
-            continue
-        if pid not in claims_by_id:
+        i = index.get(pid)
+        if i is None:
             raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
-        claims_by_id[pid].append(_parse_age(age_text, claims_file, lineno))
+        if i >= 0:
+            owners.append(i)
+            ages.append(_parse_age(age_text, claims_file, lineno))
 
-    records = []
-    for pid in order:
-        entry = entry_by_id[pid]
-        retained: list[int] = []
-        anchor = entry
-        for c in sorted(claims_by_id[pid]):
-            if c < anchor or (c == anchor and cleaning.zero_duration == "discard"):
-                report.claims_discarded += 1
-                continue
-            retained.append(c)
-            anchor = c
-        report.claims_retained += len(retained)
-        records.append(PolicyRecord(pid, entry, tuple(retained)))
-    return records, report
+    entry = np.array(entries, dtype=np.int64)
+    p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
+    order = np.lexsort((c, p))
+    p, c = p[order], c[order]
+    keep = c >= entry[p]
+    if cleaning.zero_duration == "discard":
+        keep &= c > entry[p]
+        keep[1:] &= (p[1:] != p[:-1]) | (c[1:] != c[:-1])
+    report.claims_retained = int(keep.sum())
+    report.claims_discarded = report.claims_read - report.claims_retained
+    return ClaimRecords(tuple(ids), entry, p[keep], c[keep]), report
 
 
 def _csv_rows(path: str | Path, header: tuple[str, str]):
@@ -166,9 +193,13 @@ def _csv_rows(path: str | Path, header: tuple[str, str]):
 
 def _parse_age(text: str, path: str | Path, lineno: int) -> int:
     try:
-        return int(text)
+        age = int(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed age {text!r}") from None
+    if age > MAX_AGE:
+        raise ValueError(f"{path}:{lineno}: age {age} outside the accepted range (at most {MAX_AGE})")
+    # every age below BASE_AGE is cleaned alike, so clamp to keep int64 columns in range
+    return age if age >= BASE_AGE else BASE_AGE - 1
 
 
 @dataclass(frozen=True)
@@ -196,34 +227,28 @@ class DurationHistogram:
         return int(self.counts.sum())
 
 
-def _durations(record: PolicyRecord) -> list[tuple[int, int]]:
-    """(transition index, duration) pairs; same-age claims count as one year."""
-    out = []
-    anchor = record.entry_age
-    for k, c in enumerate(record.claim_ages):
-        out.append((k, max(c - anchor, 1)))
-        anchor = c
-    return out
+def _claim_steps(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray]:
+    """Per claim: its rank within the policy and its anchor, the age it renews from.
+
+    The anchor is the previous claim's age, or the entry age for a first claim.
+    """
+    p, c = records.claim_policy, records.claim_age
+    rank = np.arange(len(c)) - np.searchsorted(p, p)
+    return rank, np.where(rank == 0, records.entry_age[p], np.roll(c, 1))
 
 
-def build_duration_histogram(
-    records: list[PolicyRecord], transition: str = "merged"
-) -> DurationHistogram:
-    """Histogram of waiting times for one transition, or all pooled."""
+def build_duration_histogram(records: ClaimRecords, transition: str = "merged") -> DurationHistogram:
+    """Histogram of waiting times for one transition, or all pooled.
+
+    Same-age claims count as a one-year duration.
+    """
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}; expected one of {TRANSITIONS}")
-    wanted = TRANSITIONS.index(transition) if transition != "merged" else None
-    durations = [
-        d
-        for rec in records
-        for k, d in _durations(rec)
-        if wanted is None or k == wanted
-    ]
-    horizon = max(durations, default=0)
-    counts = np.zeros(horizon + 1, dtype=np.int64)
-    for d in durations:
-        counts[d] += 1
-    return DurationHistogram(counts, transition)
+    rank, anchor = _claim_steps(records)
+    durations = np.maximum(records.claim_age - anchor, 1)
+    if transition != "merged":
+        durations = durations[rank == TRANSITIONS.index(transition)]
+    return DurationHistogram(np.bincount(durations, minlength=1), transition)
 
 
 def histogram_to_df(hist: DurationHistogram) -> np.ndarray:
@@ -270,23 +295,15 @@ class OccurrenceTable:
         return self.cap_age - BASE_AGE + 1
 
 
-def build_occurrence_table(records: list[PolicyRecord], cap_age: int = 60) -> OccurrenceTable:
+def build_occurrence_table(records: ClaimRecords, cap_age: int = 60) -> OccurrenceTable:
     """One count per retained claim at (renewal age, claim age), pooled at the cap."""
     n = cap_age - BASE_AGE + 1
-    counts = np.zeros((n, n), dtype=np.int64)
-    dropped = 0
-    for rec in records:
-        anchor = rec.entry_age
-        for c in rec.claim_ages:
-            s_age, t_age = anchor, max(c, anchor + 1)
-            anchor = c
-            s = min(s_age, cap_age) - BASE_AGE
-            t = min(t_age, cap_age) - BASE_AGE
-            if s < t:
-                counts[s, t] += 1
-            else:
-                dropped += 1
-    return OccurrenceTable(counts, cap_age, dropped)
+    _, anchor = _claim_steps(records)
+    s = np.minimum(anchor, cap_age) - BASE_AGE
+    t = np.minimum(np.maximum(records.claim_age, anchor + 1), cap_age) - BASE_AGE
+    placed = s < t
+    counts = np.bincount(s[placed] * n + t[placed], minlength=n * n).reshape(n, n)
+    return OccurrenceTable(counts, cap_age, int(np.count_nonzero(~placed)))
 
 
 def occurrence_to_nh_df(
@@ -340,32 +357,21 @@ class NoClaimTable:
     rows: tuple[NoClaimRow, ...]
 
 
-def no_claim_table(records: list[PolicyRecord], cap_age: int = 60) -> NoClaimTable:
+def no_claim_table(records: ClaimRecords, cap_age: int = 60) -> NoClaimTable:
     """Per-entry-age counts of policies with no retained claim.
 
     One row per observed entry age below the cap, a pooled row for entry
     ages at or past it, and a grand-total row.
     """
-    totals: dict[int, int] = {}
-    quiet: dict[int, int] = {}
-    pooled_total = pooled_quiet = 0
-    for rec in records:
-        key = rec.entry_age
-        if key >= cap_age:
-            pooled_total += 1
-            pooled_quiet += not rec.claim_ages
-        else:
-            totals[key] = totals.get(key, 0) + 1
-            quiet[key] = quiet.get(key, 0) + (not rec.claim_ages)
-    rows = [NoClaimRow(str(age), totals[age], quiet[age]) for age in sorted(totals)]
-    if pooled_total:
-        rows.append(NoClaimRow(f">={cap_age}", pooled_total, pooled_quiet))
+    key = np.minimum(records.entry_age, cap_age)
+    quiet = np.bincount(records.claim_policy, minlength=len(key)) == 0
+    ages, group = np.unique(key, return_inverse=True)
+    totals = np.bincount(group, minlength=len(ages))
+    quiet_totals = np.bincount(group[quiet], minlength=len(ages))
+    rows = [
+        NoClaimRow(f">={cap_age}" if age == cap_age else str(age), int(total), int(no_claim))
+        for age, total, no_claim in zip(ages, totals, quiet_totals)
+    ]
     if rows:
-        rows.append(
-            NoClaimRow(
-                "total",
-                sum(r.total for r in rows),
-                sum(r.no_claim for r in rows),
-            )
-        )
+        rows.append(NoClaimRow("total", len(key), int(quiet.sum())))
     return NoClaimTable(tuple(rows))

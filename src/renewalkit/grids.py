@@ -193,10 +193,22 @@ def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
         row = line.rstrip("\n").split("\t")
         if len(row) != n - i:
             raise ValueError(f"{path}: row {i} has {len(row)} values, expected {n - i}")
-        values[i, i:] = [float(x) for x in row]
+        try:
+            values[i, i:] = [float(x) for x in row]
+        except ValueError:
+            j = next(j for j, x in enumerate(row) if not _is_float(x))
+            raise ValueError(f"{path}: row {i}, column {i + j}: cannot parse {row[j]!r}") from None
     if "".join(lines[n:]).strip():
         raise ValueError(f"{path}: unexpected content after {n} data rows")
     return TwoTimeMatrix(grid, values, m.group("kind"))
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from renewalkit import golden
 from renewalkit.claims import (
     BASE_AGE,
+    MAX_AGE,
+    TRANSITIONS,
+    ClaimRecords,
     CleaningConfig,
     DurationHistogram,
-    PolicyRecord,
     build_duration_histogram,
     build_occurrence_table,
     histogram_to_df,
@@ -20,12 +24,27 @@ from renewalkit.simulate import sample_path
 from renewalkit.solver import homogeneous_lift
 
 
+def _records(*triples):
+    """ClaimRecords from (policy id, entry age, claim ages) triples."""
+    owners = [i for i, (_, _, ages) in enumerate(triples) for _ in ages]
+    ages = [a for _, _, claim_ages in triples for a in sorted(claim_ages)]
+    return ClaimRecords(tuple(t[0] for t in triples), [t[1] for t in triples], owners, ages)
+
+
+def _triples(records):
+    """The (policy id, entry age, claim ages) triples a ClaimRecords holds."""
+    return [
+        (pid, int(entry), tuple(int(a) for a in records.claim_age[records.claim_policy == i]))
+        for i, (pid, entry) in enumerate(zip(records.policy_ids, records.entry_age))
+    ]
+
+
 def test_ingest_worked_example(csv_writer):
     # entry at 23, claims at 41 and 50: a claim after 18 years, then the
     # renewed 41-year-old claims again after 9 years
     p, c = csv_writer([("A", 23)], [("A", 41), ("A", 50)])
     records, report = ingest(p, c)
-    assert records == [PolicyRecord("A", 23, (41, 50))]
+    assert _triples(records) == [("A", 23, (41, 50))]
     assert report.claims_retained == 2 and report.claims_discarded == 0
     hist = build_duration_histogram(records, "entry-to-first")
     assert hist.counts[18] == 1 and hist.total == 1
@@ -36,7 +55,7 @@ def test_ingest_worked_example(csv_writer):
 def test_ingest_discards_claims_before_entry(csv_writer):
     p, c = csv_writer([("A", 24)], [("A", 20), ("A", 30)])
     records, report = ingest(p, c)
-    assert records[0].claim_ages == (30,)
+    assert _triples(records)[0][2] == (30,)
     assert report.claims_read == 2
     assert report.claims_discarded == 1
     assert report.claims_retained == 1
@@ -46,20 +65,20 @@ def test_ingest_zero_duration_policy(csv_writer):
     p, c = csv_writer([("A", 24)], [("A", 24), ("A", 24), ("A", 30)])
 
     records, report = ingest(p, c, CleaningConfig(zero_duration="bucket1"))
-    assert records[0].claim_ages == (24, 24, 30)
+    assert _triples(records)[0][2] == (24, 24, 30)
     assert (report.claims_retained, report.claims_discarded) == (3, 0)
     hist = build_duration_histogram(records, "merged")
     assert hist.counts[1] == 2 and hist.counts[6] == 1
 
     records, report = ingest(p, c, CleaningConfig(zero_duration="discard"))
-    assert records[0].claim_ages == (30,)
+    assert _triples(records)[0][2] == (30,)
     assert (report.claims_retained, report.claims_discarded) == (1, 2)
 
 
 def test_ingest_imputes_missing_entry_age(csv_writer):
     p, c = csv_writer([("A", ""), ("B", 30)], [])
     records, report = ingest(p, c, CleaningConfig(impute_entry_age=24))
-    assert records[0].entry_age == 24
+    assert records.entry_age[0] == 24
     assert report.imputed_entries == 1
     assert report.policies_read == 2
 
@@ -67,7 +86,7 @@ def test_ingest_imputes_missing_entry_age(csv_writer):
 def test_ingest_rejects_underage_policies_and_their_claims(csv_writer):
     p, c = csv_writer([("A", 17), ("B", 20)], [("A", 25), ("B", 25)])
     records, report = ingest(p, c)
-    assert [r.policy_id for r in records] == ["B"]
+    assert records.policy_ids == ("B",)
     assert report.policies_rejected == 1
     assert report.claims_read == 2
     assert report.claims_discarded == 1  # the rejected policy's claim
@@ -114,24 +133,31 @@ def test_ingest_errors_carry_line_numbers(csv_writer, tmp_path):
     with pytest.raises(ValueError, match=r"dup\.csv:3: duplicate policy_id"):
         ingest(dup, c)
 
+    # absurd ages fail at their line instead of sizing the count tables
+    for age in (100000000000, 3000000):
+        huge = tmp_path / f"huge_{age}.csv"
+        huge.write_text(f"policy_id,claim_age\nA,30\nA,{age}\n")
+        with pytest.raises(ValueError, match=rf"huge_{age}\.csv:3: age {age} outside .*{MAX_AGE}"):
+            ingest(p, huge)
+
 
 def test_duration_histogram_per_transition():
-    rec = PolicyRecord("A", 20, (25, 28, 33, 40))
-    assert build_duration_histogram([rec], "entry-to-first").counts[5] == 1
-    assert build_duration_histogram([rec], "first-to-second").counts[3] == 1
-    assert build_duration_histogram([rec], "second-to-third").counts[5] == 1
-    merged = build_duration_histogram([rec], "merged")
+    rec = _records(("A", 20, (25, 28, 33, 40)))
+    assert build_duration_histogram(rec, "entry-to-first").counts[5] == 1
+    assert build_duration_histogram(rec, "first-to-second").counts[3] == 1
+    assert build_duration_histogram(rec, "second-to-third").counts[5] == 1
+    merged = build_duration_histogram(rec, "merged")
     assert merged.total == 4 and merged.counts[7] == 1
 
 
 def test_duration_histogram_empty_records():
-    hist = build_duration_histogram([], "merged")
+    hist = build_duration_histogram(_records(), "merged")
     assert hist.total == 0 and hist.horizon == 0
 
 
 def test_duration_histogram_rejects_unknown_transition():
     with pytest.raises(ValueError, match="unknown transition"):
-        build_duration_histogram([], "third-to-fourth")
+        build_duration_histogram(_records(), "third-to-fourth")
 
 
 def _golden_hist(transition):
@@ -170,27 +196,26 @@ def test_histogram_to_df_satisfies_distribution_invariants_exactly():
 
 
 def test_occurrence_table_worked_example():
-    rec = PolicyRecord("A", 23, (41, 50))
-    table = build_occurrence_table([rec], cap_age=60)
+    table = build_occurrence_table(_records(("A", 23, (41, 50))), cap_age=60)
     assert table.counts[23 - BASE_AGE, 41 - BASE_AGE] == 1
     assert table.counts[41 - BASE_AGE, 50 - BASE_AGE] == 1
     assert table.counts.sum() == 2
 
 
 def test_occurrence_table_is_additive():
-    recs = [PolicyRecord("A", 23, (41, 50)), PolicyRecord("B", 23, (41, 50))]
-    one = build_occurrence_table(recs[:1]).counts
-    two = build_occurrence_table(recs).counts
+    recs = [("A", 23, (41, 50)), ("B", 23, (41, 50))]
+    one = build_occurrence_table(_records(*recs[:1])).counts
+    two = build_occurrence_table(_records(*recs)).counts
     assert np.array_equal(two, 2 * one)
-    assert not build_occurrence_table([]).counts.any()
+    assert not build_occurrence_table(_records()).counts.any()
 
 
 def test_occurrence_table_pools_at_the_cap():
-    table = build_occurrence_table([PolicyRecord("A", 59, (65,))], cap_age=60)
+    table = build_occurrence_table(_records(("A", 59, (65,))), cap_age=60)
     assert table.counts[59 - BASE_AGE, 60 - BASE_AGE] == 1
     assert table.dropped_beyond_cap == 0
     # a renewal already at/past the cap has no later in-grid age to land on
-    table = build_occurrence_table([PolicyRecord("B", 61, (65,))], cap_age=60)
+    table = build_occurrence_table(_records(("B", 61, (65,))), cap_age=60)
     assert not table.counts.any()
     assert table.dropped_beyond_cap == 1
 
@@ -220,13 +245,13 @@ def test_occurrence_to_nh_df_row_mass_rescaling():
 
 
 def test_no_claim_table_counts_and_pooling():
-    records = [
-        PolicyRecord("A", 18, ()),
-        PolicyRecord("B", 18, (25,)),
-        PolicyRecord("C", 59, ()),
-        PolicyRecord("D", 61, ()),
-        PolicyRecord("E", 63, (64,)),
-    ]
+    records = _records(
+        ("A", 18, ()),
+        ("B", 18, (25,)),
+        ("C", 59, ()),
+        ("D", 61, ()),
+        ("E", 63, (64,)),
+    )
     table = no_claim_table(records, cap_age=60)
     labels = [r.label for r in table.rows]
     assert labels == ["18", "59", ">=60", "total"]
@@ -235,7 +260,7 @@ def test_no_claim_table_counts_and_pooling():
     assert by_label["18"].prob_no_claim == 0.5 and by_label["18"].prob_claim == 0.5
     assert by_label[">=60"].total == 2 and by_label[">=60"].no_claim == 1
     assert by_label["total"].total == 5 and by_label["total"].no_claim == 3
-    assert no_claim_table([]).rows == ()
+    assert no_claim_table(_records()).rows == ()
 
 
 def test_no_claim_published_rows_match():
@@ -248,12 +273,12 @@ def test_no_claim_published_rows_match():
 
 def _synth_records(F, n_policies, rng):
     horizon = F.n_points - 1
-    records = []
+    triples = []
     for i in range(n_policies):
         path = sample_path(F, 0, horizon, rng)
         ages = tuple(BASE_AGE + idx for idx in path)
-        records.append(PolicyRecord(f"P{i}", BASE_AGE, ages))
-    return records
+        triples.append((f"P{i}", BASE_AGE, ages))
+    return _records(*triples)
 
 
 def test_round_trip_recovers_the_generating_df():
@@ -283,3 +308,135 @@ def test_round_trip_recovers_the_generating_df():
         entry_row_distance.append(per_row[0])
     assert entry_row_distance[1] < entry_row_distance[0]
     assert entry_row_distance[1] < 0.02
+
+
+def test_claim_records_rejects_malformed_columns():
+    with pytest.raises(ValueError, match="one length"):
+        ClaimRecords(("A", "B"), [20], [], [])
+    with pytest.raises(ValueError, match="one length"):
+        ClaimRecords(("A",), [20], [0, 0], [25])
+    with pytest.raises(ValueError, match="must index the 1 policies"):
+        ClaimRecords(("A",), [20], [1], [25])
+    with pytest.raises(ValueError, match="must index the 1 policies"):
+        ClaimRecords(("A",), [20], [-1], [25])
+    with pytest.raises(ValueError, match=r"sorted by \(policy, age\)"):
+        ClaimRecords(("A",), [20], [0, 0], [30, 25])
+    with pytest.raises(ValueError, match=r"sorted by \(policy, age\)"):
+        ClaimRecords(("A", "B"), [20, 20], [1, 0], [25, 30])
+    with pytest.raises(ValueError, match="predate its entry"):
+        ClaimRecords(("A",), [20], [0], [19])
+    with pytest.raises(ValueError, match="entry ages must be >= 18"):
+        ClaimRecords(("A",), [17], [], [])
+    assert not _records(("A", 20, (25, 30))).claim_age.flags.writeable
+
+
+# -- the per-policy loops the columnar pipeline replaced, kept as the oracle --
+
+
+def _reference_clean(policies, claims, cleaning):
+    """(policy id, entry, retained ages) triples and the discarded-claim count."""
+    entry_by_id, rejected, claims_by_id = {}, set(), {}
+    for pid, text in policies:
+        entry = cleaning.impute_entry_age if text == "" else int(text)
+        if entry < BASE_AGE:
+            rejected.add(pid)
+            continue
+        entry_by_id[pid] = entry
+        claims_by_id[pid] = []
+    discarded = 0
+    for pid, age in claims:
+        if pid in rejected:
+            discarded += 1
+        else:
+            claims_by_id[pid].append(age)
+    triples = []
+    for pid, entry in entry_by_id.items():
+        retained, anchor = [], entry
+        for c in sorted(claims_by_id[pid]):
+            if c < anchor or (c == anchor and cleaning.zero_duration == "discard"):
+                discarded += 1
+                continue
+            retained.append(c)
+            anchor = c
+        triples.append((pid, entry, tuple(retained)))
+    return triples, discarded
+
+
+def _reference_histogram(triples, transition):
+    durations = []
+    for _, entry, ages in triples:
+        anchor = entry
+        for k, c in enumerate(ages):
+            if transition == "merged" or k == TRANSITIONS.index(transition):
+                durations.append(max(c - anchor, 1))
+            anchor = c
+    counts = np.zeros(max(durations, default=0) + 1, dtype=np.int64)
+    for d in durations:
+        counts[d] += 1
+    return counts
+
+
+def _reference_occurrence(triples, cap_age):
+    n = cap_age - BASE_AGE + 1
+    counts = np.zeros((n, n), dtype=np.int64)
+    dropped = 0
+    for _, entry, ages in triples:
+        anchor = entry
+        for c in ages:
+            s_age, t_age = anchor, max(c, anchor + 1)
+            anchor = c
+            s = min(s_age, cap_age) - BASE_AGE
+            t = min(t_age, cap_age) - BASE_AGE
+            if s < t:
+                counts[s, t] += 1
+            else:
+                dropped += 1
+    return counts, dropped
+
+
+def _reference_no_claim(triples, cap_age):
+    totals, quiet = {}, {}
+    pooled_total = pooled_quiet = 0
+    for _, entry, ages in triples:
+        if entry >= cap_age:
+            pooled_total += 1
+            pooled_quiet += not ages
+        else:
+            totals[entry] = totals.get(entry, 0) + 1
+            quiet[entry] = quiet.get(entry, 0) + (not ages)
+    rows = [(str(age), totals[age], quiet[age]) for age in sorted(totals)]
+    if pooled_total:
+        rows.append((f">={cap_age}", pooled_total, pooled_quiet))
+    if rows:
+        rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    entries=st.lists(st.one_of(st.just(""), st.integers(10, 70)), max_size=8),
+    claims=st.lists(st.tuples(st.integers(0, 7), st.integers(5, 80)), max_size=40),
+    zero_duration=st.sampled_from(["bucket1", "discard"]),
+    cap_age=st.integers(BASE_AGE + 1, 75),
+    impute=st.integers(BASE_AGE, 40),
+)
+def test_columnar_pipeline_matches_the_per_policy_reference(
+    csv_writer, entries, claims, zero_duration, cap_age, impute
+):
+    # blank, under-18 and pre-entry ages, duplicates and any claim order
+    policies = [(f"P{i}", e) for i, e in enumerate(entries)]
+    claims = [(f"P{i % len(policies)}", age) for i, age in claims] if policies else []
+    cleaning = CleaningConfig(impute_entry_age=impute, cap_age=cap_age, zero_duration=zero_duration)
+    records, report = ingest(*csv_writer(policies, claims), cleaning)
+
+    triples, discarded = _reference_clean(policies, claims, cleaning)
+    assert report.claims_read == len(claims) == report.claims_retained + report.claims_discarded
+    assert report.claims_discarded == discarded
+    assert _triples(records) == triples
+    for tr in TRANSITIONS:
+        assert np.array_equal(build_duration_histogram(records, tr).counts, _reference_histogram(triples, tr))
+    table = build_occurrence_table(records, cap_age)
+    counts, dropped = _reference_occurrence(triples, cap_age)
+    assert np.array_equal(table.counts, counts) and table.dropped_beyond_cap == dropped
+    rows = [(r.label, r.total, r.no_claim) for r in no_claim_table(records, cap_age).rows]
+    assert rows == _reference_no_claim(triples, cap_age)

@@ -120,6 +120,13 @@ def test_tsv_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="row 0 has 3 values"):
         read_matrix_tsv(ragged)
 
+    # an unparsable value is reported at its cell: row 0 holds a(0,0) and a(0,1)
+    unparsable = tmp_path / "unparsable.tsv"
+    unparsable.write_text(lines[0] + "\n0\tabc\n0\n")
+    expected = f"{unparsable}: row 0, column 1: cannot parse 'abc'"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        read_matrix_tsv(unparsable)
+
     trailing = tmp_path / "trailing.tsv"
     trailing.write_text("\n".join(lines) + "\njunk\n")
     with pytest.raises(ValueError, match="unexpected content"):
