@@ -64,10 +64,15 @@ class CleaningConfig:
     def __post_init__(self) -> None:
         if not BASE_AGE <= self.impute_entry_age <= MAX_AGE:
             raise ValueError(f"impute_entry_age must be in [{BASE_AGE}, {MAX_AGE}]")
-        if self.cap_age <= BASE_AGE:
-            raise ValueError(f"cap_age must be > {BASE_AGE}")
+        _check_cap_age(self.cap_age)
         if self.zero_duration not in ("bucket1", "discard"):
             raise ValueError("zero_duration must be 'bucket1' or 'discard'")
+
+
+def _check_cap_age(cap_age: int) -> None:
+    # no age exceeds MAX_AGE, so a larger cap would only add empty rows to an n x n table
+    if not BASE_AGE < cap_age <= MAX_AGE:
+        raise ValueError(f"cap_age must be in ({BASE_AGE}, {MAX_AGE}], got {cap_age}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +302,7 @@ class OccurrenceTable:
 
 def build_occurrence_table(records: ClaimRecords, cap_age: int = 60) -> OccurrenceTable:
     """One count per retained claim at (renewal age, claim age), pooled at the cap."""
+    _check_cap_age(cap_age)
     n = cap_age - BASE_AGE + 1
     _, anchor = _claim_steps(records)
     s = np.minimum(anchor, cap_age) - BASE_AGE

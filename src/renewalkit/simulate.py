@@ -2,9 +2,9 @@
 
 Used as an independent oracle for the solvers: simulate many paths, count
 renewals, compare the empirical mean with the solved renewal function.
-Sampling is plain inverse transform on the cumulative rows of F; rows may
-be defective, in which case the draw can land beyond the row total and the
-path ends there.
+Sampling is plain inverse transform on the cumulative rows of F: a draw u
+on (0, 1] at renewal age s leads to the first t with F(s, t) >= u.  A path
+ends once t passes the horizon, or the grid when u exceeds a defective row.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ __all__ = ["RNG_NAME", "RenewalEstimate", "SimConfig", "estimate_renewal_functio
 
 RNG_NAME = "PCG64"
 
+#: uniforms drawn and stepped at once by the estimator; bounds its working memory
+_CHUNK_DRAWS = 1 << 20
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -30,12 +33,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.start_idx > self.horizon_idx:
-            raise ValueError(
-                f"start_idx {self.start_idx} must not exceed horizon_idx {self.horizon_idx}"
-            )
-        if self.start_idx < 0:
-            raise ValueError(f"start_idx must be >= 0, got {self.start_idx}")
+        if not 0 <= self.start_idx <= self.horizon_idx:
+            raise ValueError(f"need 0 <= start_idx <= horizon_idx, got ({self.start_idx}, {self.horizon_idx})")
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,14 @@ class RenewalEstimate:
         return np.arange(self.start_idx, self.horizon_idx + 1)
 
 
-def _next_index(row: np.ndarray, u: float) -> int | None:
-    """Smallest t with F(cur, t) >= u, or None when u is past the row total."""
-    if u > row[-1]:
-        return None
-    return int(np.searchsorted(row, u, side="left"))
+def _check_window(n: int, start_idx: int, horizon_idx: int) -> None:
+    if not 0 <= start_idx <= horizon_idx < n:
+        raise ValueError(f"window ({start_idx}, {horizon_idx}) outside the grid: need 0 <= start <= horizon < {n}")
+
+
+def _step(row: np.ndarray, u):
+    """The first t with row[t] >= u; len(row) when u is past the row total."""
+    return row.searchsorted(u, side="left")
 
 
 def sample_path(
@@ -68,20 +70,16 @@ def sample_path(
 ) -> list[int]:
     """One renewal path: strictly increasing indices in (start, horizon].
 
-    Each step inverts the cumulative row of the current renewal age with a
-    uniform draw on (0, 1]; a draw past the row total means no further
-    renewal on the grid.
+    Each step inverts the cumulative row of the current renewal age with one
+    uniform draw on (0, 1].
     """
-    n = F.n_points
-    if not 0 <= start_idx <= horizon_idx < n:
-        raise ValueError(f"need 0 <= start <= horizon < {n}, got ({start_idx}, {horizon_idx})")
+    _check_window(F.n_points, start_idx, horizon_idx)
     vals = F.values
     path: list[int] = []
     cur = start_idx
     while True:
-        u = 1.0 - rng.random()  # uniform on (0, 1]
-        nxt = _next_index(vals[cur], u)
-        if nxt is None or nxt > horizon_idx:
+        nxt = int(_step(vals[cur], 1.0 - rng.random()))
+        if nxt > horizon_idx:
             return path
         path.append(nxt)
         cur = nxt
@@ -90,53 +88,54 @@ def sample_path(
 def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstimate:
     """Monte Carlo estimate of H(start, t) for every t up to the horizon.
 
-    Vectorised over paths: all uniforms are drawn up front as one
-    seed-derived block indexed by (path, step), so the result is
-    bit-identical for a given seed no matter how the work is scheduled.
+    Path i steps with row i of the seed's uniforms read as an (n_paths, span)
+    block; it makes at most span - 1 renewals, so its last draw ends it.  The
+    block is drawn and stepped in chunks of about ``_CHUNK_DRAWS`` uniforms,
+    keeping only integer sums per t: renewals, and the growth 2k - 1 of a
+    path's squared count at its k-th renewal.  So memory is bounded by the
+    chunk, a seed fixes the result whatever the chunk size, and the standard
+    errors come from exact sums.
     """
-    n = F.n_points
-    if not cfg.horizon_idx < n:
-        raise ValueError(f"horizon_idx {cfg.horizon_idx} outside the grid of size {n}")
-    start, horizon = cfg.start_idx, cfg.horizon_idx
+    start, horizon, n_paths = cfg.start_idx, cfg.horizon_idx, cfg.n_paths
+    _check_window(F.n_points, start, horizon)
     span = horizon - start + 1
-    vals = F.values
-    totals = vals[:, -1]
-
     rng = np.random.default_rng(cfg.seed)
-    # a path makes at most span - 1 renewals, plus one terminating draw
-    draws = 1.0 - rng.random((cfg.n_paths, span))
+    hits = np.zeros(span, dtype=np.int64)
+    sq_hits = np.zeros(span, dtype=np.int64)
+    reached = np.array([n_paths] + [0] * span, dtype=np.int64)  # paths with >= k renewals
+    chunk = max(1, _CHUNK_DRAWS // span)
+    for first in range(0, n_paths, chunk):
+        draws = rng.random((min(chunk, n_paths - first), span))
+        np.subtract(1.0, draws, out=draws)  # uniform on (0, 1]
+        rows = np.arange(len(draws))
+        cur = np.full(len(draws), start)
+        for step in range(span):
+            # group the live paths by renewal age: one search per distinct age
+            order = np.argsort(cur)
+            rows, cur = rows[order], cur[order]
+            u = draws[rows, step]
+            edges = [0, *(np.flatnonzero(cur[1:] != cur[:-1]) + 1), len(cur)]
+            for a, b in zip(edges, edges[1:]):
+                cur[a:b] = _step(F.values[cur[a]], u[a:b])
+            go = cur <= horizon
+            rows, cur = rows[go], cur[go]
+            renewed = np.bincount(cur - start, minlength=span)
+            hits += renewed
+            sq_hits += (2 * step + 1) * renewed
+            reached[step + 1] += len(rows)
+            if not len(rows):
+                break
 
-    counts = np.zeros((cfg.n_paths, span), dtype=np.int32)
-    cur = np.full(cfg.n_paths, start, dtype=np.int64)
-    active = np.arange(cfg.n_paths)
-    for step in range(span):
-        if len(active) == 0:
-            break
-        u = draws[active, step]
-        c = cur[active]
-        nxt = np.zeros(len(active), dtype=np.int64)
-        alive = u <= totals[c]
-        for cv in np.unique(c[alive]):
-            m = alive & (c == cv)
-            nxt[m] = np.searchsorted(vals[cv], u[m], side="left")
-        ok = alive & (nxt <= horizon)
-        counts[active[ok], nxt[ok] - start] += 1
-        cur[active[ok]] = nxt[ok]
-        active = active[ok]
-
-    totals_per_t = np.cumsum(counts, axis=1)
-    means = totals_per_t.mean(axis=0)
-    if cfg.n_paths > 1:
-        std_errs = totals_per_t.std(axis=0, ddof=1) / np.sqrt(cfg.n_paths)
-    else:
-        std_errs = np.zeros(span)
-    pmf = np.bincount(totals_per_t[:, -1]) / cfg.n_paths
+    s1 = np.cumsum(hits)
+    # sample variance from Python ints, rounded once; a single path gives 0 / 1
+    sums = zip(s1.tolist(), np.cumsum(sq_hits).tolist())
+    var = [(n_paths * s2 - s * s) / (n_paths * max(1, n_paths - 1)) for s, s2 in sums]
     return RenewalEstimate(
         start_idx=start,
         horizon_idx=horizon,
-        means=means,
-        std_errs=std_errs,
-        terminal_pmf=pmf,
-        n_paths=cfg.n_paths,
+        means=s1 / n_paths,
+        std_errs=np.sqrt(var) / np.sqrt(n_paths),
+        terminal_pmf=np.trim_zeros(-np.diff(reached, append=0), "b") / n_paths,
+        n_paths=n_paths,
         seed=cfg.seed,
     )

@@ -220,6 +220,23 @@ def test_occurrence_table_pools_at_the_cap():
     assert table.dropped_beyond_cap == 1
 
 
+def test_cleaning_config_validation():
+    CleaningConfig(impute_entry_age=MAX_AGE, cap_age=MAX_AGE)
+    for bad in (
+        {"impute_entry_age": BASE_AGE - 1},
+        {"impute_entry_age": MAX_AGE + 1},
+        {"zero_duration": "keep"},
+    ):
+        with pytest.raises(ValueError):
+            CleaningConfig(**bad)
+    # the cap sizes the occurrence table, so an absurd one must fail by name, not allocate
+    for cap_age in (BASE_AGE, MAX_AGE + 1, 1_000_000_000):
+        with pytest.raises(ValueError, match=rf"cap_age must be in \({BASE_AGE}, {MAX_AGE}\]"):
+            CleaningConfig(cap_age=cap_age)
+        with pytest.raises(ValueError, match="cap_age"):
+            build_occurrence_table(_records(("A", 23, (41,))), cap_age=cap_age)
+
+
 def test_occurrence_to_nh_df_normalises_rows():
     n = 43
     counts = np.zeros((n, n), dtype=np.int64)

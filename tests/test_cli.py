@@ -75,6 +75,14 @@ def _write_unit_step_ages(tmp_path):
     return path, F
 
 
+def test_build_df_rejects_an_unbounded_cap_age(tmp_path, csv_writer, capsys):
+    p, c = csv_writer([("A", 23)], [("A", 41)])
+    rc = main(["build-df", "--policies", str(p), "--claims", str(c),
+               "--out-dir", str(tmp_path / "out"), "--cap-age", "1000000000"])
+    assert rc == 1
+    assert "cap_age" in capsys.readouterr().err
+
+
 def test_solve_exact_emits_matrix_and_age_report(tmp_path):
     df_path, F = _write_unit_step_ages(tmp_path)
     out = tmp_path / "H.tsv"

@@ -2,8 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
+from renewalkit.grids import KINDS, TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
 from renewalkit.testing import random_defective_df
 
 
@@ -66,6 +68,47 @@ def test_distribution_invariants_are_enforced():
         TwoTimeMatrix(grid, np.array([[0, np.nan, 1.0], [0, 0, 1.0], [0, 0, 0]]), "distribution")
 
 
+_VALID = np.array([[0.0, 0.25, 0.5], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+
+
+def _with(cells):
+    values = _VALID.copy()
+    for (s, t), x in cells.items():
+        values[s, t] = x
+    return values
+
+
+_VIOLATIONS = [
+    *[(kind, {(1, 1): 0.1}, r"a\(1,1\) = 0.1") for kind in KINDS if kind not in ("density", "generic")],
+    *[(kind, {(0, 2): -1e-6}, r"a\(0,2\) = -1e-06 is negative") for kind in KINDS if kind != "generic"],
+    *[(kind, {(0, 1): x}, r"non-finite value at \(0, 1\)") for kind in KINDS for x in (np.nan, np.inf)],
+    ("distribution", {(1, 2): 1.5}, r"a\(1,2\) = 1.5 exceeds 1"),
+    ("distribution", {(0, 1): 0.75}, "row 0 decreases between t = 1 and t = 2"),
+    ("increment", {(0, 1): 0.6}, "increment row 0 sums to 1.1"),
+]
+
+
+@pytest.mark.parametrize("kind, cells, message", _VIOLATIONS)
+def test_matrix_rejects_each_kind_invariant_violation(kind, cells, message):
+    grid = TimeGrid(0.0, 1.0, 3)
+    TwoTimeMatrix(grid, _VALID, kind)
+    with pytest.raises(ValueError, match=message):
+        TwoTimeMatrix(grid, _with(cells), kind)
+
+
+def test_matrix_zeroes_the_strict_lower_triangle_of_every_kind():
+    grid = TimeGrid(0.0, 1.0, 3)
+    # values that would break every invariant if they were kept
+    lower = _with({(1, 0): np.nan, (2, 0): -7.0, (2, 1): 2.0})
+    for kind in KINDS:
+        m = TwoTimeMatrix(grid, lower, kind)
+        assert m.values.tobytes() == _VALID.tobytes()
+    with pytest.raises(ValueError, match="unknown kind"):
+        TwoTimeMatrix(grid, _VALID, "cumulative")
+    with pytest.raises(ValueError, match="does not match grid size"):
+        TwoTimeMatrix(grid, _VALID[:2], "generic")
+
+
 def test_increment_row_mass_is_bounded():
     grid = TimeGrid(0.0, 1.0, 3)
     over = np.array([[0, 0.7, 0.7], [0, 0, 0.5], [0, 0, 0]])
@@ -96,6 +139,44 @@ def test_tsv_round_trip_is_bit_identical(tmp_path):
         path2 = tmp_path / f"m{rep}b.tsv"
         write_matrix_tsv(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+# values each kind accepts, edge cases included: subnormals, signed zeros and,
+# where the kind allows, negatives (a tiny one passes the validation slack)
+_TINY = st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0])
+_CELL = {
+    "distribution": st.one_of(_TINY, st.floats(0.0, 1.0)),
+    "increment": st.one_of(_TINY, st.floats(0.0, 0.1)),
+    "renewal": st.one_of(_TINY, st.floats(0.0, 1e300)),
+    "density": st.one_of(_TINY, st.floats(0.0, 1e300)),
+    "generic": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _matrices(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2, 8))
+    values = np.array(draw(st.lists(_CELL[kind], min_size=n * n, max_size=n * n))).reshape(n, n)
+    if kind == "distribution":
+        for s in range(n):
+            values[s, s + 1 :].sort()
+    if kind in ("distribution", "increment", "renewal"):
+        values[np.diag_indices(n)] = draw(st.sampled_from([0.0, -0.0]))
+    origin = draw(st.floats(-1e6, 1e6))
+    step_h = draw(st.one_of(st.just(5e-324), st.floats(1e-300, 1e6)))
+    return TwoTimeMatrix(TimeGrid(origin, step_h, n), values, kind)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=_matrices())
+def test_tsv_round_trip_is_bit_identical_for_every_kind(tmp_path, matrix):
+    path = tmp_path / "m.tsv"
+    write_matrix_tsv(matrix, path)
+    back = read_matrix_tsv(path)
+    assert back.kind == matrix.kind
+    assert back.grid == matrix.grid
+    assert back.values.tobytes() == matrix.values.tobytes()
 
 
 def test_tsv_rejects_malformed_files(tmp_path):

@@ -1,11 +1,56 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from renewalkit import simulate
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
 from renewalkit.simulate import SimConfig, estimate_renewal_function, sample_path
 from renewalkit.solver import counting_pmf, homogeneous_lift, solve_discrete
 from renewalkit.testing import random_defective_df
+
+
+def _reference_estimate(F, cfg):
+    """The earlier estimator: one (paths, span) draw block and count matrix.
+
+    Kept as the oracle for the streaming estimator; returns (means,
+    std_errs, terminal_pmf).
+    """
+    start, horizon = cfg.start_idx, cfg.horizon_idx
+    span = horizon - start + 1
+    vals = F.values
+    totals = vals[:, -1]
+    rng = np.random.default_rng(cfg.seed)
+    draws = 1.0 - rng.random((cfg.n_paths, span))
+    counts = np.zeros((cfg.n_paths, span), dtype=np.int32)
+    cur = np.full(cfg.n_paths, start, dtype=np.int64)
+    active = np.arange(cfg.n_paths)
+    for step in range(span):
+        if len(active) == 0:
+            break
+        u = draws[active, step]
+        c = cur[active]
+        nxt = np.zeros(len(active), dtype=np.int64)
+        alive = u <= totals[c]
+        for cv in np.unique(c[alive]):
+            m = alive & (c == cv)
+            nxt[m] = np.searchsorted(vals[cv], u[m], side="left")
+        ok = alive & (nxt <= horizon)
+        counts[active[ok], nxt[ok] - start] += 1
+        cur[active[ok]] = nxt[ok]
+        active = active[ok]
+    totals_per_t = np.cumsum(counts, axis=1)
+    means = totals_per_t.mean(axis=0)
+    if cfg.n_paths > 1:
+        std_errs = totals_per_t.std(axis=0, ddof=1) / np.sqrt(cfg.n_paths)
+    else:
+        std_errs = np.zeros(span)
+    return means, std_errs, np.bincount(totals_per_t[:, -1]) / cfg.n_paths
+
+
+def _outputs(est):
+    return est.means, est.std_errs, est.terminal_pmf
 
 
 def _unit_step(n):
@@ -137,3 +182,69 @@ def test_sim_config_validation():
         estimate_renewal_function(F, SimConfig(10, 1, 0, 7))
     with pytest.raises(ValueError):
         sample_path(F, 0, 9, np.random.default_rng(0))
+
+
+def _assert_matches_reference(F, cfg):
+    means, std_errs, pmf = _reference_estimate(F, cfg)
+    est = estimate_renewal_function(F, cfg)
+    assert np.array_equal(est.means, means)
+    assert np.array_equal(est.terminal_pmf, pmf)
+    # the reference's two-pass float variance differs from the exact one in the last digits
+    assert np.array_equal(est.std_errs == 0.0, std_errs == 0.0)
+    assert np.allclose(est.std_errs, std_errs, rtol=1e-11, atol=0.0)
+
+
+def test_estimator_matches_the_full_matrix_reference():
+    rng = np.random.default_rng(83)
+    for _ in range(12):
+        n = int(rng.integers(2, 40))
+        F = random_defective_df(rng, n)
+        start = int(rng.integers(1, n))
+        horizon = int(rng.integers(start, n))
+        paths = int(rng.choice([1, 2, 3, 500, 4_000]))
+        _assert_matches_reference(F, SimConfig(paths, int(rng.integers(2**62)), start, horizon))
+
+
+def test_estimator_matches_the_reference_on_zero_variance_cells():
+    # one certain renewal per step up to age 6, then a defective law: the
+    # first cells are deterministic, the later ones random
+    n = 12
+    values = np.zeros((n, n))
+    for s in range(n - 1):
+        if s < 6:
+            values[s, s + 1 :] = 1.0
+        else:
+            values[s, s + 1 :] = np.linspace(0.2, 0.6, n - 1 - s)
+    F = TwoTimeMatrix(TimeGrid(0.0, 1.0, n), values, "distribution")
+    for start in (0, 3):
+        _assert_matches_reference(F, SimConfig(3_000, 17, start, n - 1))
+    est = estimate_renewal_function(F, SimConfig(3_000, 17, 0, n - 1))
+    assert not est.std_errs[:7].any() and est.std_errs[7:].all()
+
+
+def test_estimator_is_invariant_to_the_chunk_size(monkeypatch):
+    rng = np.random.default_rng(89)
+    F = random_defective_df(rng, 30)
+    cfg = SimConfig(2_000, 5, 2, 27)
+    span = cfg.horizon_idx - cfg.start_idx + 1
+    default = _outputs(estimate_renewal_function(F, cfg))
+    for paths_per_chunk in (1, 7):
+        monkeypatch.setattr(simulate, "_CHUNK_DRAWS", paths_per_chunk * span)
+        for got, want in zip(_outputs(estimate_renewal_function(F, cfg)), default):
+            assert np.array_equal(got, want)
+
+
+def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):
+    rng = np.random.default_rng(97)
+    F = random_defective_df(rng, 30)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 30 * 256)
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            estimate_renewal_function(F, SimConfig(n_paths, 3, 0, 29))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) <= 2 * peak(4_000)
