@@ -16,6 +16,8 @@ ordinary one-variable convolution when the operands depend only on t - s.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import accumulate, islice, repeat
 from typing import Literal, get_args
 
 import numpy as np
@@ -24,6 +26,7 @@ from .grids import TwoTimeMatrix, require_same_grid
 
 __all__ = [
     "QuadratureRule",
+    "convolution_powers",
     "density_convolve",
     "increments_from_df",
     "nfold_convolution",
@@ -92,25 +95,32 @@ def stieltjes_convolve(G: TwoTimeMatrix, F: TwoTimeMatrix) -> TwoTimeMatrix:
     return TwoTimeMatrix(G.grid, out, "generic")
 
 
+def convolution_powers(F: TwoTimeMatrix, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield X, vX, v^2 X, ... without end, with v the increments of ``F`` (validated on the call).
+
+    From X = F (or one column of it) these are F^(1), F^(2), ... (or that
+    column of each); v is strictly upper triangular, so v^k X = 0 exactly
+    for k >= n_points.
+    """
+    v = increments_from_df(F).values
+    return accumulate(repeat(v), lambda term, step: step @ term, initial=X)
+
+
 def nfold_convolution(F: TwoTimeMatrix, n: int) -> TwoTimeMatrix:
     """n-fold convolution power of a distribution matrix.
 
     F^(1) = F and F^(n) = F^(n-1) * F; this is the distribution of the n-th
-    renewal time, so the sequence is pointwise nonincreasing in n.
+    renewal time, so the sequence is pointwise nonincreasing in n, and it is
+    identically zero from n = n_points on.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if F.kind != "distribution":
-        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
+    out = next(islice(convolution_powers(F, F.values), n - 1, None))
     if n == 1:
         return F
-    v = increments_from_df(F).values
-    out = F.values
-    for _ in range(n - 1):
-        out = v @ out
-    # clip float dust so the result still validates as a distribution
-    out = np.clip(out, 0.0, 1.0)
-    return TwoTimeMatrix(F.grid, out, "distribution")
+    # clip float dust, in place in the fresh product, so the result still
+    # validates as a distribution
+    return TwoTimeMatrix(F.grid, np.clip(out, 0.0, 1.0, out=out), "distribution")
 
 
 def density_convolve(

@@ -1,34 +1,30 @@
-"""Built-in golden checks behind the ``selftest`` subcommand.
+"""Golden checks behind the ``selftest`` subcommand and the acceptance suite.
 
-Each check prints one PASS/FAIL line; the process exit status reflects any
-failure.  The checks pin the arithmetic of the embedded reference tables,
-two analytically solvable renewal models, and the agreement of the three
+The checks pin the arithmetic of the embedded reference tables, two
+analytically solvable renewal models, and the agreement of the three
 independent solution routes (back-substitution, convolution series, Monte
-Carlo).
+Carlo).  Each ``check_*`` takes its inputs as arguments, raises on a
+violation and returns what it measured; the acceptance suite calls them
+with larger inputs.  ``run_selftest`` prints one PASS/FAIL line per check;
+the process exit status reflects any failure.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import golden
 from .claims import DurationHistogram, histogram_to_df
-from .grids import TimeGrid
+from .grids import TwoTimeMatrix
 from .simulate import SimConfig, estimate_renewal_function
-from .solver import (
-    SolverMethod,
-    counting_pmf,
-    homogeneous_lift,
-    lift_duration_function,
-    solve_discrete,
-    solve_quadrature,
-    solve_series,
-)
-from .testing import random_defective_df
+from .solver import QUADRATURE_TAGS, SolverMethod, counting_pmf, solve_discrete, solve_quadrature, solve_series
+from .testing import geometric_law, poisson_law, random_defective_df
 
-__all__ = ["matches_published", "run_selftest"]
+__all__ = ["check_geometric", "check_no_claim_probs", "check_oracle_triangle", "check_poisson",
+           "check_waiting_probs", "matches_published", "run_selftest"]
 
 
 def matches_published(computed: float, published: float, tol: float = 1e-6) -> bool:
@@ -51,84 +47,64 @@ def _require(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_waiting_probs(verbose: bool) -> str:
+def check_waiting_probs() -> dict[str, float]:
+    """The published waiting-time probability columns to 1e-6, from the embedded counts."""
     worst = 0.0
     for transition in ("first-to-second", "second-to-third"):
-        counts = golden.waiting_counts(transition)
-        hist = DurationHistogram(np.concatenate(([0], counts)), transition)
-        df = histogram_to_df(hist)
-        pmf = np.diff(df, prepend=0.0)[1:]
+        hist = DurationHistogram(np.concatenate(([0], golden.waiting_counts(transition))), transition)
+        pmf = np.diff(histogram_to_df(hist), prepend=0.0)[1:]
         for got, want in zip(pmf, golden.waiting_probs(transition)):
             worst = max(worst, abs(got - want))
-            _require(matches_published(got, want), f"{transition}: {got} vs published {want}")
+            _require(matches_published(got, want, 1e-6), f"{transition}: {got} vs published {want}")
     totals = (golden.waiting_counts("first-to-second").sum(), golden.waiting_counts("second-to-third").sum())
     _require(tuple(int(t) for t in totals) == golden.WAITING_TOTALS, f"count totals {totals}")
-    return f"max |pmf - published| = {worst:.2e}" if verbose else "probability columns reproduced"
+    return {"worst": worst}
 
 
-def _check_no_claim_probs(verbose: bool) -> str:
+def check_no_claim_probs() -> dict[str, float]:
+    """The published no-claim probability columns to 1e-6, from the embedded counts."""
     worst = 0.0
-    rows = list(golden.NO_CLAIM_ROWS) + [
-        (">=60", *golden.NO_CLAIM_POOLED),
-        ("total", *golden.NO_CLAIM_GRAND_TOTAL),
-    ]
+    rows = [*golden.NO_CLAIM_ROWS, (">=60", *golden.NO_CLAIM_POOLED), ("total", *golden.NO_CLAIM_GRAND_TOTAL)]
     for label, total, quiet, p_no, p_claim in rows:
         got_no, got_claim = quiet / total, 1.0 - quiet / total
         worst = max(worst, abs(got_no - p_no), abs(got_claim - p_claim))
-        _require(matches_published(got_no, p_no), f"age {label}: {got_no} vs {p_no}")
-        _require(matches_published(got_claim, p_claim), f"age {label}: {got_claim} vs {p_claim}")
+        _require(matches_published(got_no, p_no, 1e-6), f"age {label}: {got_no} vs {p_no}")
+        _require(matches_published(got_claim, p_claim, 1e-6), f"age {label}: {got_claim} vs {p_claim}")
     grand_total = sum(r[1] for r in golden.NO_CLAIM_ROWS) + golden.NO_CLAIM_POOLED[0]
     _require(grand_total == golden.NO_CLAIM_GRAND_TOTAL[0], f"grand total {grand_total}")
-    return f"max |prob - published| = {worst:.2e}" if verbose else "probability columns reproduced"
+    return {"worst": worst}
 
 
-def _check_poisson(verbose: bool) -> str:
-    h, horizon, lam = 0.01, 5.0, 1.0
-    grid = TimeGrid(0.0, h, int(round(horizon / h)) + 1)
-    lag = grid.times()
-    F = homogeneous_lift(1.0 - np.exp(-lam * lag), grid)
-    f = lift_duration_function(lam * np.exp(-lam * lag), grid, "density")
-    results = {}
-    for tag in ("rect-right", "rect-left", "trapezoid", "simpson"):
-        H = solve_quadrature(f, F, SolverMethod(tag))
-        results[tag] = H.at(0, grid.n_points - 1)
-        _require(4.9 <= results[tag] <= 5.1, f"{tag}: H(0,5) = {results[tag]}")
-    if verbose:
-        return "  ".join(f"{tag}={val:.5f}" for tag, val in results.items())
-    return "H(0,5) within [4.9, 5.1] for all four rules"
+def check_poisson(h: float) -> dict[str, float]:
+    """H(0, 5) of the rate-1 Poisson process lies in [4.9, 5.1] for every rule at step h."""
+    F, f = poisson_law(1.0, 5.0, h)
+    tops = {tag: solve_quadrature(f, F, SolverMethod(tag)).at(0, F.n_points - 1) for tag in QUADRATURE_TAGS}
+    for tag, top in tops.items():
+        _require(4.9 <= top <= 5.1, f"{tag}: H(0,5) = {top}")
+    return tops
 
 
-def _check_geometric(verbose: bool) -> str:
-    p, T = 0.25, 40
-    grid = TimeGrid(0.0, 1.0, T + 1)
-    F = homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
+def check_geometric(p: float, T: int, t: int) -> dict[str, float]:
+    """Bernoulli(p) renewals: H(0, k) = p k for k <= T, and N(t) ~ Binomial(t, p)."""
+    F = geometric_law(p, T)
     H = solve_discrete(F)
-    err = max(abs(H.at(0, t) - p * t) for t in range(T + 1))
+    err = max(abs(H.at(0, k) - p * k) for k in range(T + 1))
     _require(err <= 1e-12, f"max |H(0,t) - pt| = {err}")
-    pmf = counting_pmf(F, 0, 8, tol=1e-14)
-    worst = 0.0
-    for k in range(9):
-        want = math.comb(8, k) * p**k * (1 - p) ** (8 - k)
-        worst = max(worst, abs(pmf.probs[k] - want))
-    _require(worst <= 1e-10, f"pmf vs Binomial(8, 0.25): max diff {worst}")
-    return (
-        f"|H - pt| <= {err:.2e}, pmf vs binomial <= {worst:.2e}"
-        if verbose
-        else "H(0,t) = 0.25t and N(8) ~ Binomial(8, 0.25)"
-    )
+    pmf = counting_pmf(F, 0, t, tol=1e-14)
+    worst = max(abs(pmf.probs[k] - math.comb(t, k) * p**k * (1 - p) ** (t - k)) for k in range(t + 1))
+    _require(worst <= 1e-10, f"pmf vs Binomial({t}, {p}): max diff {worst}")
+    return {"H": err, "pmf": worst}
 
 
-def _check_oracle_triangle(verbose: bool) -> str:
-    rng = np.random.default_rng(20210905)
+def check_oracle_triangle(cases: Iterable[tuple[TwoTimeMatrix, int]], n_paths: int) -> dict[str, float]:
+    """Per (F, seed): the series within 1e-10 of the discrete solve, Monte Carlo within 3 SE of it."""
     worst_pair = worst_z = 0.0
-    for _ in range(5):
-        F = random_defective_df(rng, 13)
+    for F, seed in cases:
         H = solve_discrete(F)
         S = solve_series(F, tol=1e-12).renewal
         worst_pair = max(worst_pair, np.abs(H.values - S.values).max())
         _require(worst_pair <= 1e-10, f"discrete vs series: {worst_pair}")
-        seed = int(rng.integers(2**63))
-        est = estimate_renewal_function(F, SimConfig(20_000, seed, 0, 12))
+        est = estimate_renewal_function(F, SimConfig(n_paths, seed, 0, F.n_points - 1))
         for j, t in enumerate(est.t_indices()):
             diff = abs(est.means[j] - H.at(0, int(t)))
             if est.std_errs[j] == 0.0:
@@ -136,29 +112,39 @@ def _check_oracle_triangle(verbose: bool) -> str:
             else:
                 worst_z = max(worst_z, diff / est.std_errs[j])
                 _require(diff <= 3.0 * est.std_errs[j], f"t={t}: diff {diff} > 3 SE")
-    if verbose:
-        return f"max |discrete - series| = {worst_pair:.2e}, max MC z-score = {worst_z:.2f}"
-    return "back-substitution, series and Monte Carlo agree"
+    return {"pair": worst_pair, "z": worst_z}
 
 
+def _oracle_cases():
+    rng = np.random.default_rng(20210905)
+    for _ in range(5):
+        yield random_defective_df(rng, 13), int(rng.integers(2**63))  # F drawn first, then its seed
+
+
+#: name, the check on the selftest's inputs, its detail line when verbose and when not
 _CHECKS = (
-    ("waiting-time probabilities", _check_waiting_probs),
-    ("no-claim probabilities", _check_no_claim_probs),
-    ("poisson renewal function", _check_poisson),
-    ("geometric renewal function", _check_geometric),
-    ("oracle triangle", _check_oracle_triangle),
+    ("waiting-time probabilities", check_waiting_probs,
+     "max |pmf - published| = {worst:.2e}", "probability columns reproduced"),
+    ("no-claim probabilities", check_no_claim_probs,
+     "max |prob - published| = {worst:.2e}", "probability columns reproduced"),
+    ("poisson renewal function", lambda: check_poisson(0.01),
+     "  ".join(f"{tag}={{{tag}:.5f}}" for tag in QUADRATURE_TAGS), "H(0,5) within [4.9, 5.1] for all four rules"),
+    ("geometric renewal function", lambda: check_geometric(0.25, 40, 8),
+     "|H - pt| <= {H:.2e}, pmf vs binomial <= {pmf:.2e}", "H(0,t) = 0.25t and N(8) ~ Binomial(8, 0.25)"),
+    ("oracle triangle", lambda: check_oracle_triangle(_oracle_cases(), 20_000),
+     "max |discrete - series| = {pair:.2e}, max MC z-score = {z:.2f}", "back-substitution, series and Monte Carlo agree"),
 )
 
 
 def run_selftest(verbose: bool = False) -> int:
     failures = 0
-    for name, check in _CHECKS:
+    for name, check, verbose_detail, detail in _CHECKS:
         try:
-            detail = check(verbose)
+            measured = check()
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:
-            print(f"PASS {name}: {detail}")
+            print(f"PASS {name}: {verbose_detail.format_map(measured) if verbose else detail}")
     print(f"{len(_CHECKS) - failures}/{len(_CHECKS)} checks passed")
     return 1 if failures else 0

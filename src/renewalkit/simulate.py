@@ -55,7 +55,10 @@ class RenewalEstimate:
         return np.arange(self.start_idx, self.horizon_idx + 1)
 
 
-def _check_window(n: int, start_idx: int, horizon_idx: int) -> None:
+def _check_inputs(F: TwoTimeMatrix, start_idx: int, horizon_idx: int) -> None:
+    if F.kind != "distribution":
+        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
+    n = F.n_points
     if not 0 <= start_idx <= horizon_idx < n:
         raise ValueError(f"window ({start_idx}, {horizon_idx}) outside the grid: need 0 <= start <= horizon < {n}")
 
@@ -73,7 +76,7 @@ def sample_path(
     Each step inverts the cumulative row of the current renewal age with one
     uniform draw on (0, 1].
     """
-    _check_window(F.n_points, start_idx, horizon_idx)
+    _check_inputs(F, start_idx, horizon_idx)
     vals = F.values
     path: list[int] = []
     cur = start_idx
@@ -97,7 +100,7 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     errors come from exact sums.
     """
     start, horizon, n_paths = cfg.start_idx, cfg.horizon_idx, cfg.n_paths
-    _check_window(F.n_points, start, horizon)
+    _check_inputs(F, start, horizon)
     span = horizon - start + 1
     rng = np.random.default_rng(cfg.seed)
     hits = np.zeros(span, dtype=np.int64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import RULE_WEIGHTS, increments_from_df
+from .convolve import RULE_WEIGHTS, convolution_powers, increments_from_df
 from .grids import TimeGrid, TwoTimeMatrix, require_same_grid
 
 __all__ = [
@@ -111,8 +111,6 @@ def solve_discrete(F: TwoTimeMatrix) -> TwoTimeMatrix:
     x = t term multiplies H(t, t) = 0 and v(s, s) = 0, so the divisor is
     identically 1 and the solve has no failure path.
     """
-    if F.kind != "distribution":
-        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
     v = increments_from_df(F).values
     return TwoTimeMatrix(F.grid, _row_sweep(v, F.values, 1.0, "rect-right"), "renewal")
 
@@ -120,24 +118,16 @@ def solve_discrete(F: TwoTimeMatrix) -> TwoTimeMatrix:
 def solve_series(F: TwoTimeMatrix, tol: float = 1e-12) -> SeriesResult:
     """Sum the convolution series H = F^(1) + F^(2) + ... as a solver oracle.
 
-    Terms are accumulated while their maximum exceeds ``tol``; the count of
-    summed terms is reported.  Because every renewal takes at least one grid
-    step, F^(n) vanishes identically for n >= n_points, so convergence is
-    guaranteed for any valid F; the iteration cap is an internal-error guard.
+    Terms are accumulated while their maximum is at least ``tol``; the count
+    of summed terms is reported.  Because every renewal takes at least one
+    grid step, F^(n) vanishes identically for n >= n_points, so the sum ends
+    after at most n_points - 1 terms for any valid F and any positive tol.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if F.kind != "distribution":
-        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
-    v = increments_from_df(F).values
-    term = F.values
-    H = term.copy()
-    n_terms = 1
-    cap = 10 * F.n_points
-    while term.max() >= tol:
-        if n_terms > cap:
-            raise RuntimeError(f"convolution series did not fall below {tol} in {cap} terms")
-        term = v @ term
+    powers = convolution_powers(F, F.values)
+    H, n_terms = next(powers).copy(), 1
+    for term in powers:
         if term.max() < tol:
             break
         H += term
@@ -215,28 +205,24 @@ def counting_pmf(
 ) -> CountingPmf:
     """Pmf of N(t) - N(s) from the n-fold convolution chain at one cell.
 
-    p_0 = 1 - F(s, t) and p_n = F^(n)(s, t) - F^(n+1)(s, t); the chain is
-    truncated at the first order whose mass at (s, t) drops below ``tol``,
-    which bounds the discarded tail by that same value.
+    With F^(0)(s, t) = 1, p_n = F^(n)(s, t) - F^(n+1)(s, t), clamped at zero
+    against float noise; the chain is truncated at the first order whose
+    mass at (s, t) drops below ``tol``, which bounds the discarded tail by
+    that same value.  At most t - s + 1 orders are nonzero.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = F.n_points
     if not (0 <= s_idx <= t_idx < n):
         raise ValueError(f"need 0 <= s <= t < {n}, got ({s_idx}, {t_idx})")
-    v = increments_from_df(F).values
-    col = F.values[:, t_idx].copy()  # F^(1)(., t)
-    probs = [1.0 - col[s_idx]]
-    cap = 10 * n
-    order = 1
-    while col[s_idx] >= tol:
-        if order > cap:
-            raise RuntimeError(f"counting pmf did not truncate below {tol} in {cap} orders")
-        nxt = v @ col  # F^(order+1)(., t)
-        probs.append(max(col[s_idx] - nxt[s_idx], 0.0))
-        col = nxt
-        order += 1
-    return CountingPmf(s_idx, t_idx, np.array(probs), truncation_mass=float(col[s_idx]))
+    probs, prev = [], 1.0
+    for col in convolution_powers(F, F.values[:, t_idx].copy()):  # F^(order)(., t)
+        cur = col[s_idx]
+        probs.append(max(prev - cur, 0.0))
+        if cur < tol:
+            break
+        prev = cur
+    return CountingPmf(s_idx, t_idx, np.array(probs), truncation_mass=float(cur))
 
 
 def lift_duration_function(values: np.ndarray, grid: TimeGrid, kind: str = "generic") -> TwoTimeMatrix:

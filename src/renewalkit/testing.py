@@ -1,12 +1,13 @@
-"""Helpers for randomized self-checks; also used by the test suite."""
+"""Random and analytic laws for the self-checks; also used by the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .grids import TimeGrid, TwoTimeMatrix
+from .solver import homogeneous_lift, lift_duration_function
 
-__all__ = ["random_defective_df"]
+__all__ = ["geometric_law", "poisson_law", "random_defective_df"]
 
 
 def random_defective_df(
@@ -30,3 +31,16 @@ def random_defective_df(
         values[s, s + 1 :] = np.cumsum(inc)
     grid = TimeGrid(origin, step_h, n_points)
     return TwoTimeMatrix(grid, values, "distribution")
+
+
+def geometric_law(p: float, T: int) -> TwoTimeMatrix:
+    """Bernoulli(p) renewals on the unit grid 0..T; H(s, t) = p (t - s)."""
+    return homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), TimeGrid(0.0, 1.0, T + 1))
+
+
+def poisson_law(lam: float, horizon: float, h: float) -> tuple[TwoTimeMatrix, TwoTimeMatrix]:
+    """(F, f) of Exponential(lam) waiting times on [0, horizon] at step h; H(s, t) = lam (t - s)."""
+    grid = TimeGrid(0.0, h, int(round(horizon / h)) + 1)
+    lag = grid.times()
+    F = homogeneous_lift(1.0 - np.exp(-lam * lag), grid)
+    return F, lift_duration_function(lam * np.exp(-lam * lag), grid, "density")

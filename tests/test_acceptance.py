@@ -1,45 +1,41 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see per-criterion
-output; the tolerances here are the release gates and must not be loosened.
+output.  The golden checks are the ``renewalkit.selftest`` check functions,
+called here with larger inputs; the tolerances here and in those checks are
+the release gates and must not be loosened.
 """
 
 import csv
-import math
 import time
 
 import numpy as np
 
-from renewalkit import golden
-from renewalkit.claims import DurationHistogram, histogram_to_df
 from renewalkit.cli import main as cli_main
 from renewalkit.convolve import density_convolve, stieltjes_convolve
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv
-from renewalkit.selftest import matches_published
-from renewalkit.simulate import SimConfig, estimate_renewal_function, sample_path
+from renewalkit.selftest import (
+    check_geometric,
+    check_no_claim_probs,
+    check_oracle_triangle,
+    check_poisson,
+    check_waiting_probs,
+)
+from renewalkit.simulate import sample_path
 from renewalkit.solver import (
     SolverMethod,
     counting_pmf,
     density_from_differences,
-    homogeneous_lift,
-    lift_duration_function,
     solve_discrete,
     solve_quadrature,
-    solve_series,
 )
-from renewalkit.testing import random_defective_df
+from renewalkit.testing import poisson_law, random_defective_df
 
 
 def test_waiting_time_probability_columns():
     """Published waiting-time probabilities reproduced to 1e-6 in under 1 s."""
     t0 = time.perf_counter()
-    for transition in ("first-to-second", "second-to-third"):
-        counts = golden.waiting_counts(transition)
-        hist = DurationHistogram(np.concatenate(([0], counts)), transition)
-        df = histogram_to_df(hist)
-        pmf = np.diff(df, prepend=0.0)[1:]
-        for got, want in zip(pmf, golden.waiting_probs(transition)):
-            assert matches_published(got, want, tol=1e-6), (transition, got, want)
+    check_waiting_probs()
     assert abs(153 / 8228 - 0.018595) < 1e-6
     assert abs(226 / 1578 - 0.143219) < 1e-6
     elapsed = time.perf_counter() - t0
@@ -50,13 +46,7 @@ def test_waiting_time_probability_columns():
 def test_no_claim_probability_columns():
     """Published no-claim probabilities reproduced to 1e-6 in under 1 s."""
     t0 = time.perf_counter()
-    rows = list(golden.NO_CLAIM_ROWS) + [
-        (">=60", *golden.NO_CLAIM_POOLED),
-        ("total", *golden.NO_CLAIM_GRAND_TOTAL),
-    ]
-    for label, total, quiet, p_no, p_claim in rows:
-        assert matches_published(quiet / total, p_no, tol=1e-6), (label, p_no)
-        assert matches_published(1.0 - quiet / total, p_claim, tol=1e-6), (label, p_claim)
+    check_no_claim_probs()
     assert abs(237 / 279 - 0.849462) < 1e-6
     assert abs(1.0 - 46265 / 60384 - 0.23382) < 1e-6
     elapsed = time.perf_counter() - t0
@@ -77,62 +67,41 @@ def test_discrete_continuous_equivalence():
     print(f"\nACCEPTANCE PASS: discrete-continuous equivalence (max diff {worst:.2e} <= 1e-12)")
 
 
-def test_oracle_triangle():
-    """Back-substitution, series and Monte Carlo agree on 50 random inputs."""
-    t0 = time.perf_counter()
+def _oracle_cases():
     rng = np.random.default_rng(103)
-    worst_pair = worst_z = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 16))
         F = random_defective_df(rng, n)
-        H = solve_discrete(F)
-        S = solve_series(F, tol=1e-12).renewal
-        worst_pair = max(worst_pair, np.abs(H.values - S.values).max())
-        est = estimate_renewal_function(
-            F, SimConfig(100_000, int(rng.integers(2**62)), 0, n - 1)
-        )
-        for j, t in enumerate(est.t_indices()):
-            diff = abs(est.means[j] - H.at(0, int(t)))
-            if est.std_errs[j] == 0.0:
-                assert diff == 0.0
-            else:
-                worst_z = max(worst_z, diff / est.std_errs[j])
+        yield F, int(rng.integers(2**62))
+
+
+def test_oracle_triangle():
+    """Back-substitution, series and Monte Carlo agree on 50 random inputs."""
+    t0 = time.perf_counter()
+    measured = check_oracle_triangle(_oracle_cases(), 100_000)
     elapsed = time.perf_counter() - t0
-    assert worst_pair <= 1e-10
-    assert worst_z <= 3.0
+    assert measured["pair"] <= 1e-10
+    assert measured["z"] <= 3.0
     assert elapsed < 60.0
     print(
-        f"\nACCEPTANCE PASS: oracle triangle (|discrete-series| {worst_pair:.2e} <= 1e-10, "
-        f"max MC z {worst_z:.2f} <= 3, {elapsed:.1f}s < 60s)"
+        f"\nACCEPTANCE PASS: oracle triangle (|discrete-series| {measured['pair']:.2e} <= 1e-10, "
+        f"max MC z {measured['z']:.2f} <= 3, {elapsed:.1f}s < 60s)"
     )
-
-
-def _poisson(lam, horizon, h):
-    grid = TimeGrid(0.0, h, int(round(horizon / h)) + 1)
-    lag = grid.times()
-    F = homogeneous_lift(1.0 - np.exp(-lam * lag), grid)
-    f = lift_duration_function(lam * np.exp(-lam * lag), grid, "density")
-    return F, f
 
 
 def test_poisson_renewal_function():
     """H(0,5) lands in [4.9, 5.1] for every rule; rect errors refine at order 1."""
     h = 0.01
-    errors = {}
-    for tag in ("rect-right", "rect-left", "trapezoid", "simpson"):
-        F, f = _poisson(1.0, 5.0, h)
-        H = solve_quadrature(f, F, SolverMethod(tag))
-        top = H.at(0, H.n_points - 1)
-        assert 4.9 <= top <= 5.1, (tag, top)
-        errors[tag] = abs(top - 5.0)
+    tops = check_poisson(h)
+    assert all(4.9 <= top <= 5.1 for top in tops.values()), tops
     ratios = {}
+    F2, f2 = poisson_law(1.0, 5.0, h / 2)
     for tag in ("rect-right", "rect-left"):
-        F2, f2 = _poisson(1.0, 5.0, h / 2)
         H2 = solve_quadrature(f2, F2, SolverMethod(tag))
         err_half = abs(H2.at(0, H2.n_points - 1) - 5.0)
         # first-order rules: halving h halves the error up to an O(h)
         # correction; 1.8 is the accepted empirical-order margin
-        ratios[tag] = errors[tag] / err_half
+        ratios[tag] = abs(tops[tag] - 5.0) / err_half
         assert ratios[tag] >= 1.8, (tag, ratios[tag])
     print(
         "\nACCEPTANCE PASS: poisson golden (H(0,5) in [4.9, 5.1]; "
@@ -143,20 +112,12 @@ def test_poisson_renewal_function():
 
 def test_geometric_renewal_function():
     """Bernoulli-renewal model: H(0,t) = 0.25 t and N(8) ~ Binomial(8, 0.25)."""
-    p, T = 0.25, 40
-    grid = TimeGrid(0.0, 1.0, T + 1)
-    F = homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
-    H = solve_discrete(F)
-    worst = max(abs(H.at(0, t) - p * t) for t in range(T + 1))
-    assert worst <= 1e-12
-    pmf = counting_pmf(F, 0, 8, tol=1e-14)
-    worst_pmf = max(
-        abs(pmf.probs[k] - math.comb(8, k) * p**k * (1 - p) ** (8 - k)) for k in range(9)
-    )
-    assert worst_pmf <= 1e-10
+    measured = check_geometric(0.25, 40, 8)
+    assert measured["H"] <= 1e-12
+    assert measured["pmf"] <= 1e-10
     print(
-        f"\nACCEPTANCE PASS: geometric golden (|H - pt| {worst:.2e} <= 1e-12, "
-        f"pmf vs binomial {worst_pmf:.2e} <= 1e-10)"
+        f"\nACCEPTANCE PASS: geometric golden (|H - pt| {measured['H']:.2e} <= 1e-12, "
+        f"pmf vs binomial {measured['pmf']:.2e} <= 1e-10)"
     )
 
 

@@ -4,12 +4,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import renewalkit
-from renewalkit import golden
+from renewalkit import golden, selftest
 from renewalkit.cli import main
-from renewalkit.grids import TimeGrid, read_matrix_tsv, write_matrix_tsv
-from renewalkit.solver import homogeneous_lift, solve_discrete
+from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
+from renewalkit.solver import (
+    CountingPmf,
+    SeriesResult,
+    counting_pmf,
+    homogeneous_lift,
+    solve_discrete,
+    solve_quadrature,
+    solve_series,
+)
 
 
 def _read_table(path):
@@ -149,8 +158,18 @@ def test_simulate_writes_metadata_and_estimates(tmp_path):
         assert float(row[3]) == 0.0
 
 
+def test_simulate_rejects_a_matrix_that_is_not_a_distribution(tmp_path, capsys):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    h_path, out = tmp_path / "H.tsv", tmp_path / "sim.tsv"
+    assert main(["solve", "--df", str(df_path), "--out", str(h_path)]) == 0
+    rc = main(["simulate", "--df", str(h_path), "--paths", "100", "--seed", "1",
+               "--start", "0", "--horizon", "10", "--out", str(out)])
+    assert rc == 1
+    assert "got kind 'renewal'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_report_matches_series_oracle(tmp_path):
-    from renewalkit.solver import solve_series
     from renewalkit.testing import random_defective_df
 
     rng = np.random.default_rng(83)
@@ -202,13 +221,64 @@ def test_selftest_verbose_prints_tolerance_details(capsys):
     assert "max MC z-score" in out
 
 
-def test_selftest_detects_corrupted_fixture(capsys, monkeypatch):
-    corrupted = [list(r) for r in golden._WAITING]
-    corrupted[2][1] += 1  # one count off by one
-    monkeypatch.setattr(golden, "_WAITING", [tuple(r) for r in corrupted])
+def _corrupt_waiting_count(monkeypatch):
+    rows = [list(r) for r in golden._WAITING]
+    rows[2][1] += 1  # one count off by one
+    monkeypatch.setattr(golden, "_WAITING", [tuple(r) for r in rows])
+
+
+def _corrupt_no_claim_row(monkeypatch):
+    age, total, quiet, p_no, p_claim = golden.NO_CLAIM_ROWS[0]
+    rows = [(age, total, quiet + 1, p_no, p_claim), *golden.NO_CLAIM_ROWS[1:]]
+    monkeypatch.setattr(golden, "NO_CLAIM_ROWS", rows)
+
+
+def _above_diagonal(H, shift):
+    return TwoTimeMatrix(H.grid, np.triu(H.values + shift, 1), H.kind)
+
+
+def _corrupt_quadrature(monkeypatch):
+    def shifted(f, F, method):
+        return _above_diagonal(solve_quadrature(f, F, method), 0.2)
+
+    monkeypatch.setattr(selftest, "solve_quadrature", shifted)
+
+
+def _corrupt_counting_pmf(monkeypatch):
+    def shifted(F, s_idx, t_idx, tol):
+        pmf = counting_pmf(F, s_idx, t_idx, tol)
+        probs = pmf.probs + np.r_[1e-9, -1e-9, np.zeros(len(pmf.probs) - 2)]  # mass kept
+        return CountingPmf(s_idx, t_idx, probs, pmf.truncation_mass)
+
+    monkeypatch.setattr(selftest, "counting_pmf", shifted)
+
+
+def _corrupt_series(monkeypatch):
+    def shifted(F, tol):
+        res = solve_series(F, tol)
+        return SeriesResult(_above_diagonal(res.renewal, 1e-9), res.n_terms)
+
+    monkeypatch.setattr(selftest, "solve_series", shifted)
+
+
+@pytest.mark.parametrize(
+    "check, corrupt",
+    [
+        ("waiting-time probabilities", _corrupt_waiting_count),
+        ("no-claim probabilities", _corrupt_no_claim_row),
+        ("poisson renewal function", _corrupt_quadrature),
+        ("geometric renewal function", _corrupt_counting_pmf),
+        ("oracle triangle", _corrupt_series),
+    ],
+    ids=["waiting-count", "no-claim-row", "quadrature", "counting-pmf", "series"],
+)
+def test_selftest_detects_corrupted_fixture(capsys, monkeypatch, check, corrupt):
+    corrupt(monkeypatch)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL waiting-time probabilities" in out
+    assert f"FAIL {check}" in out
+    assert "4/5 checks passed" in out
+
 
 def test_selftest_fails_under_optimised_python():
     # ``python -O`` strips assert statements; the checks must fail regardless

@@ -11,7 +11,7 @@ from renewalkit.convolve import (
 )
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
 from renewalkit.solver import homogeneous_lift, lift_duration_function
-from renewalkit.testing import random_defective_df
+from renewalkit.testing import geometric_law, poisson_law, random_defective_df
 
 
 def _df(grid, rows):
@@ -35,9 +35,8 @@ def test_increments_of_zero_df_are_zero():
 
 def test_increments_of_geometric_rows():
     # F(s,t) = 1 - 0.7^(t-s) telescopes to v(s, s+k) = 0.3 * 0.7^(k-1)
-    p, T = 0.3, 8
-    grid = TimeGrid(0.0, 1.0, T + 1)
-    F = homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
+    p = 0.3
+    F = geometric_law(p, 8)
     v = increments_from_df(F)
     for k in range(1, 5):
         assert v.at(0, k) == pytest.approx(p * (1 - p) ** (k - 1), abs=1e-15)
@@ -169,12 +168,8 @@ def test_measure_and_density_forms_agree_for_smooth_distributions():
     lam = 1.5
     sups = []
     for h in (0.02, 0.01):
-        n = int(round(2.0 / h)) + 1
-        grid = TimeGrid(0.0, h, n)
-        lag = grid.times()
-        F = homogeneous_lift(1.0 - np.exp(-lam * lag), grid)
-        f = lift_duration_function(lam * np.exp(-lam * lag), grid, "density")
-        G = homogeneous_lift(1.0 - np.exp(-0.7 * lag), grid)
+        F, f = poisson_law(lam, 2.0, h)
+        G = homogeneous_lift(1.0 - np.exp(-0.7 * F.grid.times()), F.grid)
         measure_form = stieltjes_convolve(G, F)
         density_form = density_convolve(G, f, "rect-right")
         sups.append(np.abs(measure_form.values - density_form.values).max())
@@ -202,8 +197,7 @@ def test_nfold_of_deterministic_unit_steps_is_lag_indicator():
 
 def test_nfold_geometric_against_brute_force_enumeration():
     p, T = 0.3, 10
-    grid = TimeGrid(0.0, 1.0, T + 1)
-    F = homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
+    F = geometric_law(p, T)
     F2 = nfold_convolution(F, 2)
     for t in range(T + 1):
         brute = sum(

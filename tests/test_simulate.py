@@ -8,7 +8,7 @@ from renewalkit import simulate
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
 from renewalkit.simulate import SimConfig, estimate_renewal_function, sample_path
 from renewalkit.solver import counting_pmf, homogeneous_lift, solve_discrete
-from renewalkit.testing import random_defective_df
+from renewalkit.testing import geometric_law, random_defective_df
 
 
 def _reference_estimate(F, cfg):
@@ -58,9 +58,12 @@ def _unit_step(n):
     return homogeneous_lift(np.concatenate(([0.0], np.ones(n - 1))), grid)
 
 
-def _geometric(p, T):
-    grid = TimeGrid(0.0, 1.0, T + 1)
-    return homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
+def test_samplers_reject_a_matrix_that_is_not_a_distribution():
+    H = solve_discrete(geometric_law(0.5, 5))  # kind "renewal", values up to 2.5
+    with pytest.raises(ValueError, match="expected a distribution matrix, got kind 'renewal'"):
+        sample_path(H, 0, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="expected a distribution matrix, got kind 'renewal'"):
+        estimate_renewal_function(H, SimConfig(100, 1, 0, 5))
 
 
 def test_unit_step_paths_are_deterministic():
@@ -92,7 +95,7 @@ def test_paths_are_strictly_increasing_and_in_window():
 def test_inter_arrival_times_fit_the_geometric_law():
     # pool gaps from full paths; stop recording when grid truncation could bite
     p, n = 0.25, 200
-    F = _geometric(p, n - 1)
+    F = geometric_law(p, n - 1)
     rng = np.random.default_rng(67)
     gaps = []
     while len(gaps) < 100_000:
@@ -134,7 +137,7 @@ def test_estimator_on_deterministic_unit_steps_has_zero_variance():
 
 def test_estimator_matches_binomial_mean():
     p, T = 0.25, 40
-    est = estimate_renewal_function(_geometric(p, T), SimConfig(100_000, 123, 0, T))
+    est = estimate_renewal_function(geometric_law(p, T), SimConfig(100_000, 123, 0, T))
     j = T  # t = 40, true mean p t = 10
     assert abs(est.means[j] - 10.0) <= 3.0 * est.std_errs[j]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewalkit.convolve import increments_from_df
+from renewalkit.convolve import increments_from_df, nfold_convolution
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
 from renewalkit.solver import (
     QUADRATURE_TAGS,
@@ -13,12 +13,11 @@ from renewalkit.solver import (
     counting_pmf,
     density_from_differences,
     homogeneous_lift,
-    lift_duration_function,
     solve_discrete,
     solve_quadrature,
     solve_series,
 )
-from renewalkit.testing import random_defective_df
+from renewalkit.testing import geometric_law, poisson_law, random_defective_df
 
 GRID3 = TimeGrid(0.0, 1.0, 3)
 SINGLE_STEP = [[0, 0.5, 1.0], [0, 0, 1.0], [0, 0, 0]]
@@ -26,19 +25,6 @@ SINGLE_STEP = [[0, 0.5, 1.0], [0, 0, 1.0], [0, 0, 0]]
 
 def _df(grid, rows):
     return TwoTimeMatrix(grid, np.array(rows, dtype=float), "distribution")
-
-
-def _geometric(p, T):
-    grid = TimeGrid(0.0, 1.0, T + 1)
-    return homogeneous_lift(1.0 - (1.0 - p) ** np.arange(T + 1.0), grid)
-
-
-def _poisson(lam, horizon, h):
-    grid = TimeGrid(0.0, h, int(round(horizon / h)) + 1)
-    lag = grid.times()
-    F = homogeneous_lift(1.0 - np.exp(-lam * lag), grid)
-    f = lift_duration_function(lam * np.exp(-lam * lag), grid, "density")
-    return F, f
 
 
 def test_solve_discrete_single_step_fixture():
@@ -57,13 +43,13 @@ def test_solve_discrete_zero_rhs():
 def test_solve_discrete_geometric_is_linear_in_time():
     # Bernoulli renewal each step: N(t) ~ Binomial(t, p), so H(0, t) = p t
     p, T = 0.25, 40
-    H = solve_discrete(_geometric(p, T))
+    H = solve_discrete(geometric_law(p, T))
     for t in range(T + 1):
         assert abs(H.at(0, t) - p * t) <= 1e-12
 
 
 def test_solve_discrete_homogeneous_input_gives_lag_dependent_output():
-    H = solve_discrete(_geometric(0.37, 25))
+    H = solve_discrete(geometric_law(0.37, 25))
     for lag in range(26):
         cells = [H.at(s, s + lag) for s in range(26 - lag)]
         assert max(cells) - min(cells) <= 1e-12
@@ -99,7 +85,7 @@ def test_solve_series_matches_solve_discrete_on_random_input():
 
 
 def test_solve_quadrature_poisson_within_two_percent():
-    F, f = _poisson(1.0, 5.0, 0.01)
+    F, f = poisson_law(1.0, 5.0, 0.01)
     H = solve_quadrature(f, F, SolverMethod("rect-right"))
     top = H.at(0, H.n_points - 1)
     assert top == pytest.approx(5.0, rel=0.02)
@@ -122,7 +108,7 @@ def test_rectangle_rules_refine_at_first_order(tag):
     lam, horizon = 1.0, 5.0
     tops = []
     for h in (0.05, 0.025, 0.0125):
-        F, f = _poisson(lam, horizon, h)
+        F, f = poisson_law(lam, horizon, h)
         H = solve_quadrature(f, F, SolverMethod(tag))
         tops.append(H.at(0, H.n_points - 1))
     d1, d2 = abs(tops[0] - tops[1]), abs(tops[1] - tops[2])
@@ -133,7 +119,7 @@ def test_trapezoid_converges_faster_than_rectangles():
     lam, horizon = 1.0, 2.0
     errs = {}
     for tag in ("rect-right", "trapezoid"):
-        F, f = _poisson(lam, horizon, 0.02)
+        F, f = poisson_law(lam, horizon, 0.02)
         H = solve_quadrature(f, F, SolverMethod(tag))
         errs[tag] = abs(H.at(0, H.n_points - 1) - lam * horizon)
     assert errs["trapezoid"] < errs["rect-right"] / 20
@@ -229,7 +215,7 @@ def test_solver_method_validation():
         SolverMethod("exact-discrete", 0.5)
     with pytest.raises(ValueError, match="positive"):
         SolverMethod("simpson", -1.0)
-    F, f = _poisson(1.0, 1.0, 0.1)
+    F, f = poisson_law(1.0, 1.0, 0.1)
     with pytest.raises(ValueError, match="resampling"):
         solve_quadrature(f, F, SolverMethod("trapezoid", 0.2))
     with pytest.raises(ValueError, match="use solve_discrete"):
@@ -265,9 +251,33 @@ def test_counting_pmf_single_step_fixture():
     assert pmf.mean() == 1.5
 
 
+def test_counting_pmf_accepts_a_total_within_the_validation_slack():
+    # F(0, 2) = 1 + 2^-52 is a valid distribution value, so p_0 = 1 - F(0, 2)
+    # is float noise below zero and clamps like every other order
+    F = _df(GRID3, [[0, 0.5, 1 + 2**-52], [0, 0, 1.0], [0, 0, 0]])
+    pmf = counting_pmf(F, 0, 2)
+    assert pmf.probs[0] == 0.0
+    assert pmf.probs.tolist() == pytest.approx([0.0, 0.5, 0.5], abs=1e-15)
+    assert solve_discrete(F).at(0, 2) == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("min_mass", [0.3, 1.0])
+def test_convolution_chains_end_inside_the_grid(min_mass):
+    # v is strictly upper triangular, so F^(n) = 0 exactly from n = n_points
+    # on: even the smallest positive tol ends every chain without a cap
+    rng = np.random.default_rng(61)
+    for n in (2, 3, 8, 17, 33, 60):
+        F = random_defective_df(rng, n, min_mass=min_mass)
+        assert solve_series(F, tol=5e-324).n_terms <= n - 1
+        s = int(rng.integers(0, n))
+        for cell in ((0, n - 1), (s, n - 1), (s, int(rng.integers(s, n)))):
+            assert len(counting_pmf(F, *cell, tol=5e-324).probs) <= n
+        assert not nfold_convolution(F, n).values.any()
+
+
 def test_counting_pmf_geometric_is_binomial():
     p = 0.25
-    pmf = counting_pmf(_geometric(p, 8), 0, 8, tol=1e-14)
+    pmf = counting_pmf(geometric_law(p, 8), 0, 8, tol=1e-14)
     for k in range(9):
         want = math.comb(8, k) * p**k * (1 - p) ** (8 - k)
         assert pmf.probs[k] == pytest.approx(want, abs=1e-13)
