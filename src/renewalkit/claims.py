@@ -312,35 +312,19 @@ def build_occurrence_table(records: ClaimRecords, cap_age: int = 60) -> Occurren
     return OccurrenceTable(counts, cap_age, int(np.count_nonzero(~placed)))
 
 
-def occurrence_to_nh_df(
-    table: OccurrenceTable, row_mass: np.ndarray | None = None
-) -> tuple[TwoTimeMatrix, list[int]]:
+def occurrence_to_nh_df(table: OccurrenceTable) -> tuple[TwoTimeMatrix, list[int]]:
     """Row-normalise the occurrence counts into a waiting-time d.f. matrix.
 
     Row s becomes F(s, t) = cumulative counts / row total, a proper d.f.
-    conditioned on a claim happening within the horizon; passing ``row_mass``
-    rescales each row to that total mass instead (defective rows).  Rows with
-    no claims at all stay identically zero and are returned as warnings.
+    conditioned on a claim happening within the horizon.  Rows with no
+    claims at all, the pooled cap row among them, stay identically zero and
+    are returned as warnings.
     """
-    n = table.n_ages
-    if row_mass is not None:
-        row_mass = np.asarray(row_mass, dtype=np.float64)
-        if row_mass.shape != (n,) or np.any(row_mass < 0) or np.any(row_mass > 1):
-            raise ValueError("row_mass must give one value in [0, 1] per age row")
-    values = np.zeros((n, n))
-    zero_rows = []
-    for s in range(n - 1):
-        row_total = table.counts[s, s + 1 :].sum()
-        if row_total == 0:
-            zero_rows.append(s)
-            continue
-        cum = np.cumsum(table.counts[s, s + 1 :]) / row_total
-        if row_mass is not None:
-            cum = cum * row_mass[s]
-        values[s, s + 1 :] = cum
-    zero_rows.append(n - 1)  # the pooled cap row never has a later claim age
-    grid = TimeGrid(origin=float(BASE_AGE), step_h=1.0, n_points=n)
-    return TwoTimeMatrix(grid, values, "distribution"), zero_rows
+    cum = np.cumsum(table.counts, axis=1)
+    total = cum[:, -1:]
+    values = np.divide(cum, total, out=np.zeros(cum.shape), where=total > 0)
+    grid = TimeGrid(origin=float(BASE_AGE), step_h=1.0, n_points=table.n_ages)
+    return TwoTimeMatrix(grid, values, "distribution"), np.flatnonzero(total == 0).tolist()
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .reports import (
 )
 from .selftest import run_selftest
 from .simulate import SimConfig, estimate_renewal_function
-from .solver import SolverMethod, density_from_differences, solve_discrete, solve_quadrature
+from .solver import QUADRATURE_TAGS, SolverMethod, density_from_differences, solve_discrete, solve_quadrature
 
 __all__ = ["main"]
 
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--df", required=True, help="distribution matrix TSV")
     p.add_argument(
         "--method",
-        choices=("exact", "rect-left", "rect-right", "trapezoid", "simpson"),
+        choices=("exact", *QUADRATURE_TAGS),
         default="exact",
     )
     p.add_argument("--h", type=float, default=None, help="expected grid step (quadrature only)")

@@ -18,25 +18,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate, islice, repeat
-from typing import Literal, get_args
 
 import numpy as np
 
 from .grids import TwoTimeMatrix, require_same_grid
 
 __all__ = [
-    "QuadratureRule",
     "convolution_powers",
     "density_convolve",
     "increments_from_df",
     "nfold_convolution",
     "stieltjes_convolve",
 ]
-
-QuadratureRule = Literal["rect-left", "rect-right", "trapezoid"]
-
-_NEG_TOL = 1e-9
-
 
 #: The one quadrature weight table.  Per rule, the weights in units of h on
 #: the nodes tau = s + j of [s, t] with m = t - s steps, as (first j = 0,
@@ -56,26 +49,15 @@ def increments_from_df(F: TwoTimeMatrix) -> TwoTimeMatrix:
     """One-step backward differences of a distribution matrix.
 
     v(s, s) = 0 and v(s, t) = F(s, t) - F(s, t-1) for t > s, so the row sums
-    telescope back to F(s, T).  Rejects non-monotone rows with the offending
-    location; differences within float noise of zero are clamped to zero.
+    telescope back to F(s, T).  The distribution kind already bounds every
+    in-domain drop by the validation slack; those float-noise drops are
+    clamped to zero (off the domain the differences are exactly 0 - 0).
     """
     if F.kind != "distribution":
         raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
-    vals = F.values
-    v = np.zeros_like(vals)
-    v[:, 1:] = vals[:, 1:] - vals[:, :-1]
-    n = F.n_points
-    v[np.arange(n), np.arange(n)] = 0.0
-    neg = np.triu(v < 0.0, k=1)
-    if np.any(neg):
-        worst = v[neg].min()
-        if worst < -_NEG_TOL:
-            s, t = np.argwhere(np.triu(v < -_NEG_TOL, k=1))[0]
-            raise ValueError(
-                f"non-monotone distribution row: F({s},{t}) < F({s},{t - 1}) "
-                f"(increment {v[s, t]})"
-            )
-        v[neg] = 0.0
+    v = np.zeros_like(F.values)
+    v[:, 1:] = np.diff(F.values, axis=1)
+    v[v < 0.0] = 0.0
     return TwoTimeMatrix(F.grid, v, "increment")
 
 
@@ -123,9 +105,7 @@ def nfold_convolution(F: TwoTimeMatrix, n: int) -> TwoTimeMatrix:
     return TwoTimeMatrix(F.grid, np.clip(out, 0.0, 1.0, out=out), "distribution")
 
 
-def density_convolve(
-    f: TwoTimeMatrix, g: TwoTimeMatrix, rule: QuadratureRule = "trapezoid"
-) -> TwoTimeMatrix:
+def density_convolve(f: TwoTimeMatrix, g: TwoTimeMatrix, rule: str = "trapezoid") -> TwoTimeMatrix:
     """Quadrature approximation of (f * g)(s, t) = int_s^t g(s, tau) f(tau, t) dtau.
 
     ``rule`` picks the node set on [s, t]: left rectangles (tau = s..t-1),
@@ -135,9 +115,10 @@ def density_convolve(
     require_same_grid(f, g)
     h = f.grid.step_h
     fv, gv = f.values, g.values
-    if rule not in get_args(QuadratureRule):
+    # the one full product below assumes every interior weight is 1, which Simpson's are not
+    if rule not in RULE_WEIGHTS or rule == "simpson":
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    w_first, *_, w_last = RULE_WEIGHTS[rule][0]  # interior weights are all 1
+    w_first, *_, w_last = RULE_WEIGHTS[rule][0]
     full = gv @ fv  # sum over tau = s..t of g(s,tau) f(tau,t)
     first = np.diagonal(gv)[:, None] * fv  # tau = s term
     last = gv * np.diagonal(fv)[None, :]  # tau = t term

@@ -7,6 +7,7 @@ increments v(s,t), renewal functions H(s,t) and densities f(s,t).
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import tempfile
@@ -49,8 +50,10 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.step_h > 0:
-            raise ValueError(f"step_h must be positive, got {self.step_h}")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not 0 < self.step_h < math.inf:
+            raise ValueError(f"step_h must be positive and finite, got {self.step_h}")
         if self.n_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.n_points}")
 
@@ -58,15 +61,6 @@ class TimeGrid:
         if not 0 <= i < self.n_points:
             raise IndexError(f"grid index {i} outside [0, {self.n_points})")
         return self.origin + i * self.step_h
-
-    def index_of(self, t: float) -> int:
-        """Index of an on-grid time; rejects times off the grid."""
-        i = int(round((t - self.origin) / self.step_h))
-        if not 0 <= i < self.n_points:
-            raise IndexError(f"time {t} outside the grid")
-        if abs(self.time_of(i) - t) > 1e-9 * self.step_h:
-            raise ValueError(f"time {t} is not on the grid (nearest point {self.time_of(i)})")
-        return i
 
     def times(self) -> np.ndarray:
         return self.origin + self.step_h * np.arange(self.n_points)
@@ -175,31 +169,38 @@ def write_matrix_tsv(matrix: TwoTimeMatrix, path: str | Path) -> None:
 
 
 def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
-    """Read a matrix written by :func:`write_matrix_tsv`."""
+    """Read a matrix written by :func:`write_matrix_tsv`; every error names the file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _HEADER_RE.match(header)
-        if m is None:
-            raise ValueError(f"{path}: malformed header line {header!r}")
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_matrix_tsv(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_matrix_tsv(fh) -> TwoTimeMatrix:
+    header = fh.readline().rstrip("\n")
+    m = _HEADER_RE.match(header)
+    if m is None:
+        raise ValueError(f"malformed header line {header!r}")
     n = int(m.group("n"))
     grid = TimeGrid(float(m.group("origin")), float(m.group("h")), n)
+    lines = fh.readlines()
     # count the rows before trusting the header's n with an n x n allocation
     if len(lines) < n:
-        raise ValueError(f"{path}: expected {n} data rows, found {len(lines)}")
+        raise ValueError(f"expected {n} data rows, found {len(lines)}")
     values = np.zeros((n, n))
     for i, line in enumerate(lines[:n]):
         row = line.rstrip("\n").split("\t")
         if len(row) != n - i:
-            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {n - i}")
+            raise ValueError(f"row {i} has {len(row)} values, expected {n - i}")
         try:
             values[i, i:] = [float(x) for x in row]
         except ValueError:
             j = next(j for j, x in enumerate(row) if not _is_float(x))
-            raise ValueError(f"{path}: row {i}, column {i + j}: cannot parse {row[j]!r}") from None
+            raise ValueError(f"row {i}, column {i + j}: cannot parse {row[j]!r}") from None
     if "".join(lines[n:]).strip():
-        raise ValueError(f"{path}: unexpected content after {n} data rows")
+        raise ValueError(f"unexpected content after {n} data rows")
     return TwoTimeMatrix(grid, values, m.group("kind"))
 
 
@@ -212,11 +213,17 @@ def _is_float(text: str) -> bool:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file and rename, with umask-default permissions."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file as 0600 whatever the umask; give it the mode open() would.
+        # The umask can only be read by setting it, so set the strictest one for that instant.
+        mask = os.umask(0o077)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -28,15 +28,14 @@ __all__ = [
 def write_age_mean_report(H: TwoTimeMatrix, path: str | Path) -> None:
     """Mean-claims table: rows are attained ages, columns are contract ages.
 
-    Cell (t, s) holds H(s, t); the diagonal is zero and cells above it
-    (attained age before the contract age) are padded with zeros.
+    Cell (t, s) holds H(s, t), so row t is column t of ``H.values``; the
+    diagonal is zero and cells above it (attained age before the contract
+    age) hold the stored zeros of the strict lower triangle.
     """
-    ages = H.grid.times()
-    header = "attained_age\t" + "\t".join(fmt17(a) for a in ages)
-    lines = [header]
-    for t in range(H.n_points):
-        cells = [fmt17(H.values[s, t]) if s <= t else fmt17(0.0) for s in range(H.n_points)]
-        lines.append(fmt17(ages[t]) + "\t" + "\t".join(cells))
+    ages = [fmt17(a) for a in H.grid.times()]
+    lines = ["attained_age\t" + "\t".join(ages)]
+    for age, column in zip(ages, H.values.T):
+        lines.append(age + "\t" + "\t".join(map(fmt17, column.tolist())))
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

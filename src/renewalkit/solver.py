@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 QUADRATURE_TAGS = tuple(RULE_WEIGHTS)
-METHOD_TAGS = ("exact-discrete",) + QUADRATURE_TAGS
 
 #: Below this, 1 - w0 * f(u, u) counts as singular: the step is too large
 #: relative to the density at zero lag.
@@ -48,23 +47,20 @@ SINGULAR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverMethod:
-    """Solver selection: the exact discrete solve or a quadrature rule.
+    """Quadrature rule selection for :func:`solve_quadrature`.
 
-    ``step_h`` is optional for quadrature tags; when given it must match the
-    native step of the matrices being solved (there is no resampling).
+    ``step_h`` is optional; when given it must match the native step of the
+    matrices being solved (there is no resampling).
     """
 
     tag: str
     step_h: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {METHOD_TAGS}")
-        if self.step_h is not None:
-            if self.tag == "exact-discrete":
-                raise ValueError("exact-discrete uses the matrix's native grid; step_h must be None")
-            if not self.step_h > 0:
-                raise ValueError(f"step_h must be positive, got {self.step_h}")
+        if self.tag not in QUADRATURE_TAGS:
+            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {QUADRATURE_TAGS}")
+        if self.step_h is not None and not self.step_h > 0:
+            raise ValueError(f"step_h must be positive, got {self.step_h}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +180,6 @@ def solve_quadrature(
     algebraically for H(u, k) by dividing by 1 - w0 f(u, u).  A near-zero
     divisor aborts, before any solving, with the offending location.
     """
-    if method.tag not in QUADRATURE_TAGS:
-        raise ValueError(f"method {method.tag!r} is not a quadrature rule; use solve_discrete")
     if f.kind not in ("density", "generic"):
         raise ValueError(f"expected a density matrix, got kind {f.kind!r}")
     if F.kind != "distribution":
@@ -232,11 +226,9 @@ def lift_duration_function(values: np.ndarray, grid: TimeGrid, kind: str = "gene
         raise ValueError(
             f"need one value per grid point ({grid.n_points}), got shape {values.shape}"
         )
-    n = grid.n_points
-    out = np.zeros((n, n))
-    for s in range(n):
-        out[s, s:] = values[: n - s]
-    return TwoTimeMatrix(grid, out, kind)
+    lag = np.arange(grid.n_points)
+    # the type zeroes the strict lower triangle, where this fills values[s - t]
+    return TwoTimeMatrix(grid, values[np.abs(lag - lag[:, None])], kind)
 
 
 def homogeneous_lift(F1: np.ndarray, grid: TimeGrid) -> TwoTimeMatrix:

@@ -250,15 +250,36 @@ def test_occurrence_to_nh_df_normalises_rows():
     assert F.grid.origin == float(BASE_AGE) and F.grid.n_points == n
 
 
-def test_occurrence_to_nh_df_row_mass_rescaling():
-    n = 43
-    counts = np.zeros((n, n), dtype=np.int64)
-    counts[0, 1:4] = (1, 1, 2)
+def _nh_df_by_rows(counts):
+    """Row-at-a-time normalisation: the reference for occurrence_to_nh_df."""
+    n = len(counts)
+    values = np.zeros((n, n))
+    zero_rows = []
+    for s in range(n - 1):
+        row_total = counts[s, s + 1 :].sum()
+        if row_total == 0:
+            zero_rows.append(s)
+            continue
+        values[s, s + 1 :] = np.cumsum(counts[s, s + 1 :]) / row_total
+    zero_rows.append(n - 1)
+    return values, zero_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap_age=st.integers(BASE_AGE + 1, 70), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_occurrence_to_nh_df_matches_a_row_loop(cap_age, seed, density):
     from renewalkit.claims import OccurrenceTable
 
-    mass = np.full(n, 0.5)
-    F, _ = occurrence_to_nh_df(OccurrenceTable(counts), row_mass=mass)
-    assert F.values[0, 1:4].tolist() == [0.125, 0.25, 0.5]
+    rng = np.random.default_rng(seed)
+    n = cap_age - BASE_AGE + 1
+    counts = rng.integers(0, 1000, (n, n)) * (rng.random((n, n)) < density)
+    counts[rng.random(n) < 0.3] = 0  # some all-zero rows
+    counts = np.triu(counts, k=1)
+    F, zero_rows = occurrence_to_nh_df(OccurrenceTable(counts, cap_age))
+    values, want_zero_rows = _nh_df_by_rows(counts)
+    assert F.values.tobytes() == values.tobytes()
+    assert zero_rows == want_zero_rows
 
 
 def test_no_claim_table_counts_and_pooling():

@@ -135,6 +135,19 @@ def test_solve_rejects_h_with_exact_method(tmp_path, capsys):
     assert "quadrature methods only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, bad", [("origin=18 ", "origin=nan "), ("h=1 ", "h=inf ")], ids=["origin=nan", "h=inf"]
+)
+def test_solve_rejects_a_non_finite_grid(tmp_path, capsys, field, bad):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    df_path.write_text(df_path.read_text().replace(field, bad, 1))
+    out = tmp_path / "H.tsv"
+    rc = main(["solve", "--df", str(df_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {df_path}: ")
+    assert not out.exists()
+
+
 def test_solve_missing_input_fails(tmp_path, capsys):
     rc = main(["solve", "--df", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "H.tsv")])
     assert rc == 1

@@ -58,8 +58,9 @@ def test_non_monotone_rows_are_rejected_with_location():
         _df(GRID3, decreasing)
 
 
-def test_float_dust_negatives_are_clamped():
-    eps = 1e-13
+@pytest.mark.parametrize("eps", [1e-13, 1e-10])
+def test_float_dust_negatives_are_clamped(eps):
+    # a drop within the validation slack (1e-9) is float noise, not a decrease
     wobbling = np.array([[0, 0.5, 0.5 - eps], [0, 0, 1.0], [0, 0, 0]])
     v = increments_from_df(_df(GRID3, wobbling))
     assert v.at(0, 2) == 0.0
@@ -107,6 +108,13 @@ def test_density_convolve_of_constants_is_elapsed_time():
     for s in range(n):
         for t in range(s, n):
             assert out.at(s, t) == (t - s) * 0.25
+
+
+def test_density_convolve_rejects_rules_outside_its_stencil():
+    f = TwoTimeMatrix(GRID3, np.ones((3, 3)), "density")
+    for rule in ("midpoint", "simpson"):
+        with pytest.raises(ValueError, match="unknown quadrature rule"):
+            density_convolve(f, f, rule)
 
 
 def test_density_convolve_matches_closed_forms_and_is_not_commutative():

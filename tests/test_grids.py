@@ -1,3 +1,5 @@
+import math
+import os
 import re
 
 import numpy as np
@@ -16,20 +18,16 @@ def test_grid_rejects_bad_parameters():
         TimeGrid(0.0, -1.0, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 1)
-
-
-def test_grid_index_round_trip_is_exact():
-    grid = TimeGrid(-3.0, 0.01, 501)
-    for i in range(0, 501, 7):
-        assert grid.index_of(grid.time_of(i)) == i
+    for origin in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            TimeGrid(origin, 1.0, 5)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="step_h must be positive and finite"):
+            TimeGrid(0.0, step, 5)
 
 
 def test_grid_rejects_off_grid_times():
     grid = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        grid.index_of(2.5)
-    with pytest.raises(IndexError):
-        grid.index_of(25.0)
     with pytest.raises(IndexError):
         grid.time_of(10)
 
@@ -219,3 +217,34 @@ def test_tsv_rejects_malformed_files(tmp_path):
     expected = f"{huge}: expected 1000000000 data rows, found 2"
     with pytest.raises(ValueError, match=re.escape(expected)):
         read_matrix_tsv(huge)
+
+    # header fields and the matrix checks are reported with the file, too
+    header = lines[0]
+    cases = {
+        "one_point": (header.replace("n=2", "n=1"), "need at least 2 grid points, got 1"),
+        "bogus_kind": (header.replace("kind=distribution", "kind=bogus"), "unknown kind 'bogus'"),
+        "bad_origin": (header.replace("origin=0", "origin=zero"), "could not convert string to float: 'zero'"),
+        "bad_step": (header.replace("h=1", "h=1x"), "could not convert string to float: '1x'"),
+        "nan_origin": (header.replace("origin=0", "origin=nan"), "origin must be finite, got nan"),
+        "inf_step": (header.replace("h=1", "h=inf"), "step_h must be positive and finite, got inf"),
+    }
+    for name, (head, message) in cases.items():
+        bad = tmp_path / f"{name}.tsv"
+        bad.write_text("\n".join([head] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            read_matrix_tsv(bad)
+    too_big = tmp_path / "too_big.tsv"
+    too_big.write_text(header + "\n0\t2\n0\n")
+    expected = f"{too_big}: distribution value a(0,1) = 2.0 exceeds 1"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        read_matrix_tsv(too_big)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    matrix = TwoTimeMatrix(TimeGrid(0.0, 1.0, 2), np.array([[0, 0.5], [0, 0]]), "distribution")
+    old = os.umask(0o022)
+    try:
+        write_matrix_tsv(matrix, tmp_path / "m.tsv")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "m.tsv").stat().st_mode & 0o777 == 0o644

@@ -13,6 +13,7 @@ from renewalkit.solver import (
     counting_pmf,
     density_from_differences,
     homogeneous_lift,
+    lift_duration_function,
     solve_discrete,
     solve_quadrature,
     solve_series,
@@ -211,16 +212,25 @@ def test_exact_solve_residual_is_at_round_off(n, seed):
 def test_solver_method_validation():
     with pytest.raises(ValueError, match="unknown method tag"):
         SolverMethod("midpoint")
-    with pytest.raises(ValueError, match="native grid"):
-        SolverMethod("exact-discrete", 0.5)
+    with pytest.raises(ValueError, match="unknown method tag"):
+        SolverMethod("exact-discrete")
     with pytest.raises(ValueError, match="positive"):
         SolverMethod("simpson", -1.0)
     F, f = poisson_law(1.0, 1.0, 0.1)
     with pytest.raises(ValueError, match="resampling"):
         solve_quadrature(f, F, SolverMethod("trapezoid", 0.2))
-    with pytest.raises(ValueError, match="use solve_discrete"):
-        solve_quadrature(f, F, SolverMethod("exact-discrete"))
     solve_quadrature(f, F, SolverMethod("trapezoid", 0.1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_lift_duration_function_matches_a_row_loop(n, seed):
+    values = np.random.default_rng(seed).normal(size=n)
+    want = np.zeros((n, n))
+    for s in range(n):
+        want[s, s:] = values[: n - s]
+    got = lift_duration_function(values, TimeGrid(0.0, 0.5, n))
+    assert got.values.tobytes() == want.tobytes()
 
 
 def _enumerate_counting_pmf(F, s, t):
