@@ -353,6 +353,7 @@ def no_claim_table(records: ClaimRecords, cap_age: int = 60) -> NoClaimTable:
     One row per observed entry age below the cap, a pooled row for entry
     ages at or past it, and a grand-total row.
     """
+    _check_cap_age(cap_age)
     key = np.minimum(records.entry_age, cap_age)
     quiet = np.bincount(records.claim_policy, minlength=len(key)) == 0
     ages, group = np.unique(key, return_inverse=True)

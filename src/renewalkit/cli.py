@@ -78,12 +78,9 @@ def cmd_build_df(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     F = read_matrix_tsv(args.df)
     if args.method == "exact":
-        if args.h is not None:
-            raise ValueError("--h applies to quadrature methods only")
         H = solve_discrete(F)
     else:
-        method = SolverMethod(args.method, args.h)
-        H = solve_quadrature(density_from_differences(F), F, method)
+        H = solve_quadrature(density_from_differences(F), F, SolverMethod(args.method))
     write_matrix_tsv(H, args.out)
     report_path = args.report if args.report else Path(str(args.out) + ".report.tsv")
     write_age_mean_report(H, report_path)
@@ -131,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("exact", *QUADRATURE_TAGS),
         default="exact",
     )
-    p.add_argument("--h", type=float, default=None, help="expected grid step (quadrature only)")
     p.add_argument("--out", required=True, help="output path for the renewal matrix TSV")
     p.add_argument("--report", default=None, help="age-table report path (default: <out>.report.tsv)")
     p.set_defaults(func=cmd_solve)

@@ -11,6 +11,7 @@ import math
 import os
 import re
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ __all__ = [
     "TwoTimeMatrix",
     "read_matrix_tsv",
     "write_matrix_tsv",
+    "write_table",
 ]
 
 #: Recognised matrix kinds.  "distribution" and "increment" rows carry
@@ -162,10 +164,8 @@ def write_matrix_tsv(matrix: TwoTimeMatrix, path: str | Path) -> None:
     bit-identical.  The file is written atomically (temp file + rename).
     """
     g = matrix.grid
-    lines = [f"# grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
-    for i in range(g.n_points):
-        lines.append("\t".join(fmt17(x) for x in matrix.values[i, i:]))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    head = [f"# grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
+    write_table(path, head, (row[i:].tolist() for i, row in enumerate(matrix.values)))
 
 
 def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
@@ -229,3 +229,18 @@ def atomic_write_text(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write the ``head`` lines, then each row's cells joined by tabs, atomically.
+
+    A float (``np.float64`` included) is written at 17 significant digits and
+    any other value with ``str``, so an int of 10**17 stays exact.
+    """
+    lines = list(head)
+    lines.extend("\t".join(map(_cell, row)) for row in rows)
+    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def _cell(x) -> str:
+    return "%.17g" % x if isinstance(x, float) else str(x)

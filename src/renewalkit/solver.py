@@ -47,20 +47,13 @@ SINGULAR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverMethod:
-    """Quadrature rule selection for :func:`solve_quadrature`.
-
-    ``step_h`` is optional; when given it must match the native step of the
-    matrices being solved (there is no resampling).
-    """
+    """Quadrature rule selection for :func:`solve_quadrature`; the step is the grid's own."""
 
     tag: str
-    step_h: float | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in QUADRATURE_TAGS:
             raise ValueError(f"unknown method tag {self.tag!r}; expected one of {QUADRATURE_TAGS}")
-        if self.step_h is not None and not self.step_h > 0:
-            raise ValueError(f"step_h must be positive, got {self.step_h}")
 
 
 @dataclass(frozen=True)
@@ -185,13 +178,7 @@ def solve_quadrature(
     if F.kind != "distribution":
         raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
     require_same_grid(f, F)
-    h = f.grid.step_h
-    if method.step_h is not None and abs(method.step_h - h) > 1e-12 * h:
-        raise ValueError(
-            f"method step_h = {method.step_h} does not match the grid step {h}; "
-            "resampling is not supported"
-        )
-    return TwoTimeMatrix(f.grid, _row_sweep(f.values, F.values, h, method.tag), "renewal")
+    return TwoTimeMatrix(f.grid, _row_sweep(f.values, F.values, f.grid.step_h, method.tag), "renewal")
 
 
 def counting_pmf(

@@ -233,8 +233,9 @@ def test_cleaning_config_validation():
     for cap_age in (BASE_AGE, MAX_AGE + 1, 1_000_000_000):
         with pytest.raises(ValueError, match=rf"cap_age must be in \({BASE_AGE}, {MAX_AGE}\]"):
             CleaningConfig(cap_age=cap_age)
-        with pytest.raises(ValueError, match="cap_age"):
-            build_occurrence_table(_records(("A", 23, (41,))), cap_age=cap_age)
+        for table in (build_occurrence_table, no_claim_table):
+            with pytest.raises(ValueError, match="cap_age"):
+                table(_records(("A", 23, (41,))), cap_age=cap_age)
 
 
 def test_occurrence_to_nh_df_normalises_rows():

@@ -119,20 +119,12 @@ def test_solve_quadrature_at_unit_step_matches_exact(tmp_path):
     out_quad = tmp_path / "Hq.tsv"
     assert main(["solve", "--df", str(df_path), "--out", str(out_exact)]) == 0
     rc = main(
-        ["solve", "--df", str(df_path), "--method", "rect-right", "--h", "1.0",
+        ["solve", "--df", str(df_path), "--method", "rect-right",
          "--out", str(out_quad), "--report", str(tmp_path / "r.tsv")]
     )
     assert rc == 0
     He, Hq = read_matrix_tsv(out_exact), read_matrix_tsv(out_quad)
     assert np.abs(He.values - Hq.values).max() <= 1e-12
-
-
-def test_solve_rejects_h_with_exact_method(tmp_path, capsys):
-    df_path, _ = _write_unit_step_ages(tmp_path)
-    rc = main(["solve", "--df", str(df_path), "--method", "exact", "--h", "1.0",
-               "--out", str(tmp_path / "H.tsv")])
-    assert rc == 1
-    assert "quadrature methods only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
