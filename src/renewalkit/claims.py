@@ -58,13 +58,11 @@ class CleaningConfig:
     """
 
     impute_entry_age: int = 24
-    cap_age: int = 60
     zero_duration: str = "bucket1"
 
     def __post_init__(self) -> None:
         if not BASE_AGE <= self.impute_entry_age <= MAX_AGE:
             raise ValueError(f"impute_entry_age must be in [{BASE_AGE}, {MAX_AGE}]")
-        _check_cap_age(self.cap_age)
         if self.zero_duration not in ("bucket1", "discard"):
             raise ValueError("zero_duration must be 'bucket1' or 'discard'")
 
@@ -232,25 +230,24 @@ class DurationHistogram:
         return int(self.counts.sum())
 
 
-def _claim_steps(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray]:
-    """Per claim: its rank within the policy and its anchor, the age it renews from.
+def _claim_steps(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per claim: its rank within the policy, its anchor and its booked age.
 
-    The anchor is the previous claim's age, or the entry age for a first claim.
+    The anchor is the previous claim's age, or the entry age for a first
+    claim.  A claim at its anchor age is booked one year later.
     """
     p, c = records.claim_policy, records.claim_age
     rank = np.arange(len(c)) - np.searchsorted(p, p)
-    return rank, np.where(rank == 0, records.entry_age[p], np.roll(c, 1))
+    anchor = np.where(rank == 0, records.entry_age[p], np.roll(c, 1))
+    return rank, anchor, np.maximum(c, anchor + 1)
 
 
 def build_duration_histogram(records: ClaimRecords, transition: str = "merged") -> DurationHistogram:
-    """Histogram of waiting times for one transition, or all pooled.
-
-    Same-age claims count as a one-year duration.
-    """
+    """Histogram of waiting times, anchor to booked age, for one transition or all pooled."""
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}; expected one of {TRANSITIONS}")
-    rank, anchor = _claim_steps(records)
-    durations = np.maximum(records.claim_age - anchor, 1)
+    rank, anchor, booked = _claim_steps(records)
+    durations = booked - anchor
     if transition != "merged":
         durations = durations[rank == TRANSITIONS.index(transition)]
     return DurationHistogram(np.bincount(durations, minlength=1), transition)
@@ -304,9 +301,9 @@ def build_occurrence_table(records: ClaimRecords, cap_age: int = 60) -> Occurren
     """One count per retained claim at (renewal age, claim age), pooled at the cap."""
     _check_cap_age(cap_age)
     n = cap_age - BASE_AGE + 1
-    _, anchor = _claim_steps(records)
+    _, anchor, booked = _claim_steps(records)
     s = np.minimum(anchor, cap_age) - BASE_AGE
-    t = np.minimum(np.maximum(records.claim_age, anchor + 1), cap_age) - BASE_AGE
+    t = np.minimum(booked, cap_age) - BASE_AGE
     placed = s < t
     counts = np.bincount(s[placed] * n + t[placed], minlength=n * n).reshape(n, n)
     return OccurrenceTable(counts, cap_age, int(np.count_nonzero(~placed)))

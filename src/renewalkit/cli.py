@@ -43,13 +43,12 @@ def _warn(msg: str) -> None:
 
 
 def cmd_build_df(args: argparse.Namespace) -> int:
-    cleaning = CleaningConfig(
-        impute_entry_age=args.impute_age,
-        cap_age=args.cap_age,
-        zero_duration=args.zero_duration,
-    )
+    cleaning = CleaningConfig(impute_entry_age=args.impute_age, zero_duration=args.zero_duration)
     out = Path(args.out_dir)
     records, report = ingest(args.policies, args.claims, cleaning)
+    # both tables check the cap, so a bad one fails before any file is written
+    table = build_occurrence_table(records, args.cap_age)
+    no_claims = no_claim_table(records, args.cap_age)
     write_ingest_report(report, out / "ingest_report.txt")
 
     hists = {tr: build_duration_histogram(records, tr) for tr in TRANSITIONS}
@@ -63,7 +62,6 @@ def cmd_build_df(args: argparse.Namespace) -> int:
         hists["first-to-second"], hists["second-to-third"], out / "waiting_time_counts.tsv"
     )
 
-    table = build_occurrence_table(records, args.cap_age)
     if table.dropped_beyond_cap:
         _warn(f"{table.dropped_beyond_cap} claims renewed at or past age {args.cap_age} cannot be placed")
     F, zero_rows = occurrence_to_nh_df(table)
@@ -71,7 +69,7 @@ def cmd_build_df(args: argparse.Namespace) -> int:
         ages = ", ".join(str(int(F.grid.time_of(s))) for s in zero_rows)
         _warn(f"zero-claim ages left as defective all-zero rows: {ages}")
     write_matrix_tsv(F, out / "waiting_df_by_age.tsv")
-    write_no_claim_report(no_claim_table(records, args.cap_age), out / "no_claim_probabilities.tsv")
+    write_no_claim_report(no_claims, out / "no_claim_probabilities.tsv")
     return 0
 
 

@@ -21,7 +21,7 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .grids import TwoTimeMatrix, require_same_grid
+from .grids import TwoTimeMatrix, require_kind, require_same_grid
 
 __all__ = [
     "convolution_powers",
@@ -48,16 +48,14 @@ RULE_WEIGHTS = {
 def increments_from_df(F: TwoTimeMatrix) -> TwoTimeMatrix:
     """One-step backward differences of a distribution matrix.
 
-    v(s, s) = 0 and v(s, t) = F(s, t) - F(s, t-1) for t > s, so the row sums
-    telescope back to F(s, T).  The distribution kind already bounds every
-    in-domain drop by the validation slack; those float-noise drops are
-    clamped to zero (off the domain the differences are exactly 0 - 0).
+    v(s, s) = 0 and v(s, t) = M(s, t) - M(s, t-1) for t > s, where M is the
+    running maximum of each row of F.  On a nondecreasing row M = F; on a
+    row that dips within the validation slack, every step stays >= 0 and
+    the row sums telescope to the row's maximum, so a dip adds no mass.
     """
-    if F.kind != "distribution":
-        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
-    v = np.zeros_like(F.values)
-    v[:, 1:] = np.diff(F.values, axis=1)
-    v[v < 0.0] = 0.0
+    require_kind(F, "distribution")
+    v = np.maximum.accumulate(F.values, axis=1)  # column 0 holds a(0,0) = 0 and the zeroed lower triangle
+    v[:, 1:] = np.diff(v, axis=1)
     return TwoTimeMatrix(F.grid, v, "increment")
 
 

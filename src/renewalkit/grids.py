@@ -152,6 +152,12 @@ def require_same_grid(a: TwoTimeMatrix, b: TwoTimeMatrix) -> None:
         raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
+def require_kind(matrix: TwoTimeMatrix, *kinds: str) -> None:
+    """Accept a matrix of one of ``kinds``; the error names the first."""
+    if matrix.kind not in kinds:
+        raise ValueError(f"expected a {kinds[0]} matrix, got kind {matrix.kind!r}")
+
+
 _HEADER_RE = re.compile(
     r"^# grid origin=(?P<origin>\S+) h=(?P<h>\S+) n=(?P<n>\d+) kind=(?P<kind>\S+)$"
 )

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import golden
-from .claims import DurationHistogram, histogram_to_df
+from .claims import ClaimRecords, DurationHistogram, histogram_to_df, no_claim_table
 from .grids import TwoTimeMatrix
 from .simulate import SimConfig, estimate_renewal_function
 from .solver import QUADRATURE_TAGS, SolverMethod, counting_pmf, solve_discrete, solve_quadrature, solve_series
@@ -62,16 +62,22 @@ def check_waiting_probs() -> dict[str, float]:
 
 
 def check_no_claim_probs() -> dict[str, float]:
-    """The published no-claim probability columns to 1e-6, from the embedded counts."""
+    """The published no-claim columns to 1e-6, from ``no_claim_table`` on records of the embedded counts."""
+    groups = [*golden.NO_CLAIM_ROWS, (60, *golden.NO_CLAIM_POOLED)]  # the pooled ages enter at 60
+    entry = np.repeat([g[0] for g in groups], [g[1] for g in groups])
+    # per entry age, all but the quiet policies claim once, a year after entry
+    claimant = np.flatnonzero(np.concatenate([np.arange(total) < total - quiet for _, total, quiet, *_ in groups]))
+    records = ClaimRecords(tuple(map(str, range(len(entry)))), entry, claimant, entry[claimant] + 1)
+    rows = no_claim_table(records, 60).rows
+    published = [*golden.NO_CLAIM_ROWS, (">=60", *golden.NO_CLAIM_POOLED), ("total", *golden.NO_CLAIM_GRAND_TOTAL)]
+    counts = [(r.label, r.total, r.no_claim) for r in rows]
+    _require(counts == [(str(label), total, quiet) for label, total, quiet, *_ in published], f"rows {counts}")
     worst = 0.0
-    rows = [*golden.NO_CLAIM_ROWS, (">=60", *golden.NO_CLAIM_POOLED), ("total", *golden.NO_CLAIM_GRAND_TOTAL)]
-    for label, total, quiet, p_no, p_claim in rows:
-        got_no, got_claim = quiet / total, 1.0 - quiet / total
+    for row, (label, _, _, p_no, p_claim) in zip(rows, published):
+        got_no, got_claim = row.prob_no_claim, row.prob_claim
         worst = max(worst, abs(got_no - p_no), abs(got_claim - p_claim))
         _require(matches_published(got_no, p_no, 1e-6), f"age {label}: {got_no} vs {p_no}")
         _require(matches_published(got_claim, p_claim, 1e-6), f"age {label}: {got_claim} vs {p_claim}")
-    grand_total = sum(r[1] for r in golden.NO_CLAIM_ROWS) + golden.NO_CLAIM_POOLED[0]
-    _require(grand_total == golden.NO_CLAIM_GRAND_TOTAL[0], f"grand total {grand_total}")
     return {"worst": worst}
 
 

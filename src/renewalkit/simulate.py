@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TwoTimeMatrix
+from .grids import TwoTimeMatrix, require_kind
 
 __all__ = ["RNG_NAME", "RenewalEstimate", "SimConfig", "estimate_renewal_function", "sample_path"]
 
@@ -33,6 +33,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.start_idx <= self.horizon_idx:
             raise ValueError(f"need 0 <= start_idx <= horizon_idx, got ({self.start_idx}, {self.horizon_idx})")
 
@@ -56,8 +58,7 @@ class RenewalEstimate:
 
 
 def _check_inputs(F: TwoTimeMatrix, start_idx: int, horizon_idx: int) -> None:
-    if F.kind != "distribution":
-        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
+    require_kind(F, "distribution")
     n = F.n_points
     if not 0 <= start_idx <= horizon_idx < n:
         raise ValueError(f"window ({start_idx}, {horizon_idx}) outside the grid: need 0 <= start <= horizon < {n}")

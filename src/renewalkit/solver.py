@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convolve import RULE_WEIGHTS, convolution_powers, increments_from_df
-from .grids import TimeGrid, TwoTimeMatrix, require_same_grid
+from .grids import TimeGrid, TwoTimeMatrix, require_kind, require_same_grid
 
 __all__ = [
     "CountingPmf",
@@ -173,10 +173,8 @@ def solve_quadrature(
     algebraically for H(u, k) by dividing by 1 - w0 f(u, u).  A near-zero
     divisor aborts, before any solving, with the offending location.
     """
-    if f.kind not in ("density", "generic"):
-        raise ValueError(f"expected a density matrix, got kind {f.kind!r}")
-    if F.kind != "distribution":
-        raise ValueError(f"expected a distribution matrix, got kind {F.kind!r}")
+    require_kind(f, "density", "generic")
+    require_kind(F, "distribution")
     require_same_grid(f, F)
     return TwoTimeMatrix(f.grid, _row_sweep(f.values, F.values, f.grid.step_h, method.tag), "renewal")
 
@@ -219,17 +217,10 @@ def lift_duration_function(values: np.ndarray, grid: TimeGrid, kind: str = "gene
 
 
 def homogeneous_lift(F1: np.ndarray, grid: TimeGrid) -> TwoTimeMatrix:
-    """Lift a one-variable d.f. to the two-time form F(s, t) = F1(t - s)."""
-    F1 = np.asarray(F1, dtype=np.float64)
-    if F1.ndim != 1:
-        raise ValueError("F1 must be a one-dimensional d.f. vector")
-    if F1[0] != 0.0:
-        raise ValueError(f"F1(0) must be 0 (no renewal at lag 0), got {F1[0]}")
-    if np.any(np.diff(F1) < 0):
-        k = int(np.argwhere(np.diff(F1) < 0)[0][0])
-        raise ValueError(f"F1 decreases between lag {k} and {k + 1}")
-    if np.any(F1 > 1.0) or np.any(F1 < 0.0):
-        raise ValueError("F1 values must lie in [0, 1]")
+    """Lift a one-variable d.f. to the two-time form F(s, t) = F1(t - s).
+
+    Row 0 is F1 itself, so the distribution kind checks every entry of F1.
+    """
     return lift_duration_function(F1, grid, "distribution")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import renewalkit
 from renewalkit import golden, selftest
+from renewalkit.claims import NoClaimRow, NoClaimTable, no_claim_table
 from renewalkit.cli import main
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
 from renewalkit.solver import (
@@ -90,6 +91,7 @@ def test_build_df_rejects_an_unbounded_cap_age(tmp_path, csv_writer, capsys):
                "--out-dir", str(tmp_path / "out"), "--cap-age", "1000000000"])
     assert rc == 1
     assert "cap_age" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_exact_emits_matrix_and_age_report(tmp_path):
@@ -174,6 +176,14 @@ def test_simulate_rejects_a_matrix_that_is_not_a_distribution(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_names_a_negative_seed(tmp_path, capsys):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    rc = main(["simulate", "--df", str(df_path), "--paths", "10", "--seed", "-1",
+               "--start", "0", "--horizon", "10", "--out", str(tmp_path / "sim.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_solve_report_matches_series_oracle(tmp_path):
     from renewalkit.testing import random_defective_df
 
@@ -238,6 +248,14 @@ def _corrupt_no_claim_row(monkeypatch):
     monkeypatch.setattr(golden, "NO_CLAIM_ROWS", rows)
 
 
+def _corrupt_no_claim_table(monkeypatch):
+    def shifted(records, cap_age):
+        first, *rest = no_claim_table(records, cap_age).rows
+        return NoClaimTable((NoClaimRow(first.label, first.total, first.no_claim + 1), *rest))
+
+    monkeypatch.setattr(selftest, "no_claim_table", shifted)
+
+
 def _above_diagonal(H, shift):
     return TwoTimeMatrix(H.grid, np.triu(H.values + shift, 1), H.kind)
 
@@ -271,11 +289,12 @@ def _corrupt_series(monkeypatch):
     [
         ("waiting-time probabilities", _corrupt_waiting_count),
         ("no-claim probabilities", _corrupt_no_claim_row),
+        ("no-claim probabilities", _corrupt_no_claim_table),
         ("poisson renewal function", _corrupt_quadrature),
         ("geometric renewal function", _corrupt_counting_pmf),
         ("oracle triangle", _corrupt_series),
     ],
-    ids=["waiting-count", "no-claim-row", "quadrature", "counting-pmf", "series"],
+    ids=["waiting-count", "no-claim-row", "no-claim-table", "quadrature", "counting-pmf", "series"],
 )
 def test_selftest_detects_corrupted_fixture(capsys, monkeypatch, check, corrupt):
     corrupt(monkeypatch)

@@ -180,6 +180,8 @@ def test_sim_config_validation():
         SimConfig(10, 1, 6, 5)
     with pytest.raises(ValueError):
         SimConfig(10, 1, -1, 5)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SimConfig(10, -1, 0, 5)
     F = _unit_step(4)
     with pytest.raises(ValueError, match="outside the grid"):
         estimate_renewal_function(F, SimConfig(10, 1, 0, 7))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewalkit.convolve import increments_from_df, nfold_convolution
-from renewalkit.grids import TimeGrid, TwoTimeMatrix
+from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv
 from renewalkit.solver import (
     QUADRATURE_TAGS,
     SolverMethod,
@@ -348,9 +348,26 @@ def test_homogeneous_lift_rejects_bad_input():
     grid = TimeGrid(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="decreases"):
         homogeneous_lift(np.array([0.0, 0.8, 0.5]), grid)
-    with pytest.raises(ValueError, match="lag 0"):
+    with pytest.raises(ValueError, match=r"a\(0,0\) = 0.1"):
         homogeneous_lift(np.array([0.1, 0.5, 1.0]), grid)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match=r"distribution value a\(0,2\) = 1.2 exceeds 1"):
         homogeneous_lift(np.array([0.0, 0.5, 1.2]), grid)
     with pytest.raises(ValueError, match="one value per grid point"):
         homogeneous_lift(np.array([0.0, 1.0]), grid)
+
+
+def test_a_row_dipping_within_the_slack_solves_with_every_method(tmp_path):
+    # accepted as a distribution: each dip is 9e-10, inside the 1e-9 slack
+    rows = ["0\t1\t0.99999999910000001\t1\t0.99999999910000001\t1"]
+    rows += ["\t".join(["0"] * (6 - i)) for i in range(1, 6)]
+    path = tmp_path / "dip.tsv"
+    path.write_text("# grid origin=0 h=1 n=6 kind=distribution\n" + "\n".join(rows) + "\n")
+    F = read_matrix_tsv(path)
+    v = increments_from_df(F).values
+    assert v.min() == 0.0 and v[0].sum() == F.values[0].max() == 1.0
+    H = solve_discrete(F)
+    assert H.at(0, 5) == 1.0  # one renewal at t = 1, none after it
+    assert np.abs(solve_series(F).renewal.values - H.values).max() <= 1e-10
+    f = density_from_differences(F)
+    solved = {tag: solve_quadrature(f, F, SolverMethod(tag)).values for tag in QUADRATURE_TAGS}
+    assert np.abs(solved["rect-right"] - H.values).max() <= 1e-12  # the exact solve at h = 1
