@@ -22,7 +22,7 @@ from .claims import (
     no_claim_table,
     occurrence_to_nh_df,
 )
-from .grids import read_matrix_tsv, write_matrix_tsv
+from .grids import FormattedTriangle, read_matrix_tsv, write_matrix_tsv
 from .reports import (
     write_age_mean_report,
     write_duration_counts_report,
@@ -74,14 +74,19 @@ def cmd_build_df(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    report_path = args.report if args.report else str(args.out) + ".report.tsv"
+    if Path(report_path).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--report must differ from --out, both name {args.out}")
     F = read_matrix_tsv(args.df)
     if args.method == "exact":
         H = solve_discrete(F)
     else:
         H = solve_quadrature(density_from_differences(F), F, SolverMethod(args.method))
-    write_matrix_tsv(H, args.out)
-    report_path = args.report if args.report else Path(str(args.out) + ".report.tsv")
-    write_age_mean_report(H, report_path)
+    # both files show the same values, so format them once; the path stays the last
+    # positional argument, where bench/tracer.py reads the bytes written
+    cells = FormattedTriangle(H)
+    write_matrix_tsv(H, args.out, cells=cells)
+    write_age_mean_report(H, report_path, cells=cells)
     return 0
 
 

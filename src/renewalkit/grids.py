@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "KINDS",
-    "atomic_write_text",
     "fmt17",
     "TimeGrid",
     "TwoTimeMatrix",
@@ -163,15 +162,21 @@ _HEADER_RE = re.compile(
 )
 
 
-def write_matrix_tsv(matrix: TwoTimeMatrix, path: str | Path) -> None:
+def write_matrix_tsv(
+    matrix: TwoTimeMatrix, path: str | Path, *, cells: FormattedTriangle | None = None
+) -> None:
     """Write the TSV form: a header line, then row i as a(i,i)..a(i,n-1).
 
     Numbers carry 17 significant digits so that read/write round-trips are
     bit-identical.  The file is written atomically (temp file + rename).
+    ``cells``, the matrix already formatted, lets a caller that writes the
+    same matrix to several files format it once.
     """
     g = matrix.grid
+    if cells is None:
+        cells = FormattedTriangle(matrix)
     head = [f"# grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
-    write_table(path, head, (row[i:].tolist() for i, row in enumerate(matrix.values)))
+    write_table(path, head, ([cells.row(i)] for i in range(g.n_points)))
 
 
 def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
@@ -218,13 +223,24 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename, with umask-default permissions."""
+def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write the ``head`` lines, then each row's cells joined by tabs, atomically.
+
+    A float (``np.float64`` included) is written at 17 significant digits and
+    any other value with ``str``, so an int of 10**17 stays exact and an
+    already formatted string passes unchanged.  Lines are streamed into a
+    temp file beside ``path`` that replaces it only once every row is
+    written, with the permissions ``open`` would give.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for line in head:
+                fh.write(line + "\n")
+            for row in rows:
+                fh.write("\t".join(map(_cell, row)) + "\n")
         # mkstemp creates the file as 0600 whatever the umask; give it the mode open() would.
         # The umask can only be read by setting it, so set the strictest one for that instant.
         mask = os.umask(0o077)
@@ -237,16 +253,36 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write the ``head`` lines, then each row's cells joined by tabs, atomically.
-
-    A float (``np.float64`` included) is written at 17 significant digits and
-    any other value with ``str``, so an int of 10**17 stays exact.
-    """
-    lines = list(head)
-    lines.extend("\t".join(map(_cell, row)) for row in rows)
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
 def _cell(x) -> str:
     return "%.17g" % x if isinstance(x, float) else str(x)
+
+
+class FormattedTriangle:
+    """The upper triangle of a matrix, each value formatted once by ``_cell``'s float rule.
+
+    Row i's cells a(i,i)..a(i,n-1) lie one after another in a single
+    fixed-width bytes array, so a TSV row is one slice of it and an
+    age-table column one gather over the row offsets.  At 24 bytes a cell,
+    the n(n+1)/2 cells take 3 MB at n = 501.
+    """
+
+    # "%.17g" of a finite float64 is at most 24 characters, "-2.2250738585072014e-308";
+    # a longer string would be cut silently by the fixed-width store
+    _WIDTH = 24
+
+    def __init__(self, matrix: TwoTimeMatrix) -> None:
+        n = matrix.n_points
+        self._start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+        self._cells = np.empty(self._start[-1], dtype=f"S{self._WIDTH}")
+        for i, row in enumerate(matrix.values):
+            self._cells[self._start[i] : self._start[i + 1]] = [b"%.17g" % x for x in row[i:].tolist()]
+
+    def row(self, i: int) -> str:
+        """a(i,i)..a(i,n-1), tab-joined."""
+        return b"\t".join(self._cells[self._start[i] : self._start[i + 1]].tolist()).decode()
+
+    def column(self, t: int) -> str:
+        """a(0,t)..a(t,t), then a 0 for each stored zero below the diagonal, tab-joined."""
+        s = np.arange(t + 1)
+        upper = self._cells[self._start[s] + t - s].tolist()
+        return (b"\t".join(upper) + b"\t0" * (len(self._start) - 2 - t)).decode()

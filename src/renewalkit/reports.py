@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .claims import DurationHistogram, IngestReport, NoClaimTable
-from .grids import TwoTimeMatrix, atomic_write_text, fmt17, write_table
+from .grids import FormattedTriangle, TwoTimeMatrix, fmt17, write_table
 from .simulate import RenewalEstimate
 
 __all__ = [
@@ -27,16 +27,21 @@ __all__ = [
 ]
 
 
-def write_age_mean_report(H: TwoTimeMatrix, path: str | Path) -> None:
+def write_age_mean_report(
+    H: TwoTimeMatrix, path: str | Path, *, cells: FormattedTriangle | None = None
+) -> None:
     """Mean-claims table: rows are attained ages, columns are contract ages.
 
     Cell (t, s) holds H(s, t), so row t is column t of ``H.values``; the
     diagonal is zero and cells above it (attained age before the contract
-    age) hold the stored zeros of the strict lower triangle.
+    age) hold the stored zeros of the strict lower triangle.  ``cells`` is
+    ``H`` already formatted, as for :func:`grids.write_matrix_tsv`.
     """
+    if cells is None:
+        cells = FormattedTriangle(H)
     ages = [fmt17(a) for a in H.grid.times()]
     head = ["attained_age\t" + "\t".join(ages)]
-    write_table(path, head, ([age, *column.tolist()] for age, column in zip(ages, H.values.T)))
+    write_table(path, head, ([age, cells.column(t)] for t, age in enumerate(ages)))
 
 
 def write_duration_counts_report(
@@ -73,7 +78,7 @@ def write_no_claim_report(table: NoClaimTable, path: str | Path) -> None:
 
 
 def write_ingest_report(report: IngestReport, path: str | Path) -> None:
-    atomic_write_text(Path(path), report.as_text())
+    write_table(path, report.as_text().splitlines(), ())
 
 
 def write_simulation_report(

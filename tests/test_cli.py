@@ -12,6 +12,7 @@ from renewalkit.claims import NoClaimRow, NoClaimTable, no_claim_table
 from renewalkit.cli import main
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
 from renewalkit.solver import (
+    QUADRATURE_TAGS,
     CountingPmf,
     SeriesResult,
     counting_pmf,
@@ -20,6 +21,8 @@ from renewalkit.solver import (
     solve_quadrature,
     solve_series,
 )
+from renewalkit.testing import random_defective_df
+from test_reports import _oracle_age_mean, _oracle_matrix
 
 
 def _read_table(path):
@@ -142,6 +145,33 @@ def test_solve_rejects_a_non_finite_grid(tmp_path, capsys, field, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alias", ["{out}", "{dir}/sub/../H.tsv"], ids=["same", "alias"])
+def test_solve_rejects_a_report_path_equal_to_out(tmp_path, capsys, alias):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    out = tmp_path / "H.tsv"
+    report = alias.format(out=out, dir=tmp_path)
+    rc = main(["solve", "--df", str(df_path), "--out", str(out), "--report", report])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --report must differ from --out, both name {out}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [2, 43, 501])
+def test_solve_and_report_write_the_oracle_bytes(tmp_path, n):
+    F = random_defective_df(np.random.default_rng(n), n, origin=18.0, step_h=0.1)
+    df_path = tmp_path / "F.tsv"
+    write_matrix_tsv(F, df_path)
+    for method in ("exact", *QUADRATURE_TAGS):
+        out, ages, again = (tmp_path / f"{method}.{name}.tsv" for name in ("H", "ages", "report"))
+        assert main(["solve", "--df", str(df_path), "--method", method,
+                     "--out", str(out), "--report", str(ages)]) == 0
+        H = read_matrix_tsv(out)
+        assert out.read_bytes() == _oracle_matrix(H)
+        assert ages.read_bytes() == _oracle_age_mean(H)
+        assert main(["report", "--matrix", str(out), "--out", str(again)]) == 0
+        assert again.read_bytes() == ages.read_bytes()
+
+
 def test_solve_missing_input_fails(tmp_path, capsys):
     rc = main(["solve", "--df", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "H.tsv")])
     assert rc == 1
@@ -185,8 +215,6 @@ def test_simulate_names_a_negative_seed(tmp_path, capsys):
 
 
 def test_solve_report_matches_series_oracle(tmp_path):
-    from renewalkit.testing import random_defective_df
-
     rng = np.random.default_rng(83)
     F = random_defective_df(rng, 12, origin=18.0)
     df_path = tmp_path / "F.tsv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from renewalkit.grids import KINDS, TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
+from renewalkit.grids import KINDS, TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv, write_table
 from renewalkit.testing import random_defective_df
 
 
@@ -248,3 +248,17 @@ def test_written_files_follow_the_umask(tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "m.tsv").stat().st_mode & 0o777 == 0o644
+
+
+def test_a_failing_row_leaves_the_target_untouched(tmp_path):
+    target = tmp_path / "t.tsv"
+    target.write_text("old\n")
+
+    def rows():
+        yield [1, 0.5]
+        raise RuntimeError("row 2 failed")
+
+    with pytest.raises(RuntimeError, match="row 2 failed"):
+        write_table(target, ["# head"], rows())
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["t.tsv"]

@@ -5,13 +5,15 @@ them went through ``grids.write_table``: one ``fmt17`` call per float cell,
 f-strings for the ints, and per-row branches where the writer had them.
 """
 
+import tracemalloc
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_grids import _matrices
 
 from renewalkit.claims import DurationHistogram, NoClaimRow, NoClaimTable, histogram_to_df
-from renewalkit.grids import TimeGrid, TwoTimeMatrix, fmt17, write_matrix_tsv, write_table
+from renewalkit.grids import FormattedTriangle, TimeGrid, TwoTimeMatrix, fmt17, write_matrix_tsv, write_table
 from renewalkit.reports import (
     write_age_mean_report,
     write_duration_counts_report,
@@ -143,13 +145,44 @@ def _estimates(draw):
     return estimate, F
 
 
+# the three longest "%.17g" strings, 24 characters each, and "-0", which the fixed-width cells must hold whole
+_LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -5e-324, -0.0]
+
+
+def _diagonal_matrix(diagonal, kind):
+    n = len(diagonal)
+    values = np.diag(diagonal)
+    values[0, 1:] = np.linspace(0.1, 1 / 3, n - 1)
+    return TwoTimeMatrix(TimeGrid(-2.2250738585072014e-308, 5e-324, n), values, kind)
+
+
 @_SETTINGS
 @given(matrix=_matrices())
+@example(matrix=_diagonal_matrix([-2.2250738585072014e-308, -5e-324, -0.0, 1e300], "density"))
+@example(matrix=_diagonal_matrix(_LONGEST, "generic"))
 def test_matrix_writers_match_the_oracle(tmp_path, matrix):
-    write_matrix_tsv(matrix, tmp_path / "m.tsv")
-    write_age_mean_report(matrix, tmp_path / "ages.tsv")
-    assert (tmp_path / "m.tsv").read_bytes() == _oracle_matrix(matrix)
-    assert (tmp_path / "ages.tsv").read_bytes() == _oracle_age_mean(matrix)
+    # each writer formats its own cells, then both share one formatting pass
+    for cells in (None, FormattedTriangle(matrix)):
+        write_matrix_tsv(matrix, tmp_path / "m.tsv", cells=cells)
+        write_age_mean_report(matrix, tmp_path / "ages.tsv", cells=cells)
+        assert (tmp_path / "m.tsv").read_bytes() == _oracle_matrix(matrix)
+        assert (tmp_path / "ages.tsv").read_bytes() == _oracle_age_mean(matrix)
+
+
+def test_shared_cells_bound_the_writers_memory(tmp_path):
+    n = 501
+    rng = np.random.default_rng(3)
+    H = TwoTimeMatrix(TimeGrid(18.0, 0.1, n), np.triu(rng.uniform(0, 60, (n, n)), 1), "renewal")
+    tracemalloc.start()
+    try:
+        cells = FormattedTriangle(H)
+        write_matrix_tsv(H, tmp_path / "H.tsv", cells=cells)
+        write_age_mean_report(H, tmp_path / "ages.tsv", cells=cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cells take n (n + 1) / 2 * 24 bytes = 2.9 MiB; the two files, 2.3 and 2.5 MiB, are streamed
+    assert peak <= 4 * 2**20
 
 
 @_SETTINGS
