@@ -13,7 +13,6 @@ from .claims import (
     CleaningConfig,
     DurationHistogram,
     IngestReport,
-    NoClaimTable,
     OccurrenceTable,
     build_duration_histogram,
     build_occurrence_table,
@@ -46,7 +45,6 @@ __all__ = [
     "CountingPmf",
     "DurationHistogram",
     "IngestReport",
-    "NoClaimTable",
     "OccurrenceTable",
     "RenewalEstimate",
     "SeriesResult",

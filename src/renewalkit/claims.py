@@ -28,7 +28,6 @@ __all__ = [
     "IngestReport",
     "MAX_AGE",
     "NoClaimRow",
-    "NoClaimTable",
     "OccurrenceTable",
     "TRANSITIONS",
     "build_duration_histogram",
@@ -113,9 +112,6 @@ class IngestReport:
     claims_retained: int = 0
     claims_discarded: int = 0
 
-    def as_text(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in vars(self).items())
-
 
 def ingest(
     policies_file: str | Path,
@@ -178,20 +174,27 @@ def ingest(
 
 
 def _csv_rows(path: str | Path, header: tuple[str, str]):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}") from None
-        if tuple(x.strip() for x in first) != header:
-            raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            yield lineno, (row[0].strip(), row[1].strip())
+    """(physical line number, stripped fields) per non-blank record after the header.
+
+    The file is UTF-8, with or without a byte-order mark; a record whose
+    quoted field spans lines is numbered by its last line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
+            if tuple(x.strip() for x in first) != header:
+                raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+                yield reader.line_num, (row[0].strip(), row[1].strip())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_age(text: str, path: str | Path, lineno: int) -> int:
@@ -339,12 +342,7 @@ class NoClaimRow:
         return 1.0 - self.no_claim / self.total
 
 
-@dataclass(frozen=True)
-class NoClaimTable:
-    rows: tuple[NoClaimRow, ...]
-
-
-def no_claim_table(records: ClaimRecords, cap_age: int = 60) -> NoClaimTable:
+def no_claim_table(records: ClaimRecords, cap_age: int = 60) -> tuple[NoClaimRow, ...]:
     """Per-entry-age counts of policies with no retained claim.
 
     One row per observed entry age below the cap, a pooled row for entry
@@ -362,4 +360,4 @@ def no_claim_table(records: ClaimRecords, cap_age: int = 60) -> NoClaimTable:
     ]
     if rows:
         rows.append(NoClaimRow("total", len(key), int(quiet.sum())))
-    return NoClaimTable(tuple(rows))
+    return tuple(rows)

@@ -22,7 +22,7 @@ from .claims import (
     no_claim_table,
     occurrence_to_nh_df,
 )
-from .grids import FormattedTriangle, read_matrix_tsv, write_matrix_tsv
+from .grids import read_matrix_tsv, write_matrix_tsv
 from .reports import (
     write_age_mean_report,
     write_duration_counts_report,
@@ -82,11 +82,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         H = solve_discrete(F)
     else:
         H = solve_quadrature(density_from_differences(F), F, SolverMethod(args.method))
-    # both files show the same values, so format them once; the path stays the last
-    # positional argument, where bench/tracer.py reads the bytes written
-    cells = FormattedTriangle(H)
-    write_matrix_tsv(H, args.out, cells=cells)
-    write_age_mean_report(H, report_path, cells=cells)
+    write_matrix_tsv(H, args.out)
+    write_age_mean_report(H, report_path)
     return 0
 
 

@@ -13,13 +13,13 @@ import re
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "KINDS",
-    "fmt17",
     "TimeGrid",
     "TwoTimeMatrix",
     "read_matrix_tsv",
@@ -37,20 +37,21 @@ KINDS = ("distribution", "increment", "renewal", "density", "generic")
 _SLACK = 1e-9
 
 
-def fmt17(x: float) -> str:
-    """17-significant-digit decimal form; round-trips float64 exactly."""
-    return format(x, ".17g")
-
-
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid: point i lives at ``origin + i * step_h``."""
+    """Uniform grid: point i lives at ``origin + i * step_h``.
+
+    ``origin`` and ``step_h`` are stored as Python floats, so every writer
+    formats them by the float rule whatever numeric type they came in as.
+    """
 
     origin: float
     step_h: float
     n_points: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "origin", float(self.origin))
+        object.__setattr__(self, "step_h", float(self.step_h))
         if not math.isfinite(self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
         if not 0 < self.step_h < math.inf:
@@ -73,7 +74,8 @@ class TwoTimeMatrix:
 
     The strict lower triangle is not part of the data model; it is stored as
     zeros so that whole-matrix products implement triangular sums directly.
-    Instances are immutable: ``values`` is a read-only array.
+    Instances are immutable: ``values`` is a read-only array, so the
+    formatted upper triangle that the writers share is computed at most once.
 
     Kind invariants (checked at construction):
       distribution  a(i,i) = 0, values in [0, 1], rows nondecreasing in t
@@ -136,6 +138,11 @@ class TwoTimeMatrix:
     def n_points(self) -> int:
         return self.grid.n_points
 
+    @cached_property
+    def formatted(self) -> FormattedTriangle:
+        """The upper triangle formatted by the float rule, built on first use and kept."""
+        return FormattedTriangle(self)
+
     def at(self, s_idx: int, t_idx: int) -> float:
         """Value a(s, t).  Querying s > t is a contract violation, not zero."""
         n = self.grid.n_points
@@ -162,21 +169,16 @@ _HEADER_RE = re.compile(
 )
 
 
-def write_matrix_tsv(
-    matrix: TwoTimeMatrix, path: str | Path, *, cells: FormattedTriangle | None = None
-) -> None:
+def write_matrix_tsv(matrix: TwoTimeMatrix, path: str | Path) -> None:
     """Write the TSV form: a header line, then row i as a(i,i)..a(i,n-1).
 
     Numbers carry 17 significant digits so that read/write round-trips are
     bit-identical.  The file is written atomically (temp file + rename).
-    ``cells``, the matrix already formatted, lets a caller that writes the
-    same matrix to several files format it once.
     """
     g = matrix.grid
-    if cells is None:
-        cells = FormattedTriangle(matrix)
-    head = [f"# grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
-    write_table(path, head, ([cells.row(i)] for i in range(g.n_points)))
+    origin, h = format_cell(g.origin), format_cell(g.step_h)
+    head = [f"# grid origin={origin} h={h} n={g.n_points} kind={matrix.kind}"]
+    write_table(path, head, ([matrix.formatted.row(i)] for i in range(g.n_points)))
 
 
 def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
@@ -240,7 +242,7 @@ def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable])
             for line in head:
                 fh.write(line + "\n")
             for row in rows:
-                fh.write("\t".join(map(_cell, row)) + "\n")
+                fh.write("\t".join(map(format_cell, row)) + "\n")
         # mkstemp creates the file as 0600 whatever the umask; give it the mode open() would.
         # The umask can only be read by setting it, so set the strictest one for that instant.
         mask = os.umask(0o077)
@@ -253,12 +255,13 @@ def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable])
         raise
 
 
-def _cell(x) -> str:
+def format_cell(x) -> str:
+    """The one float rule of every output: 17 significant digits, round-tripping float64."""
     return "%.17g" % x if isinstance(x, float) else str(x)
 
 
 class FormattedTriangle:
-    """The upper triangle of a matrix, each value formatted once by ``_cell``'s float rule.
+    """The upper triangle of a matrix, each value formatted once by ``format_cell``'s float rule.
 
     Row i's cells a(i,i)..a(i,n-1) lie one after another in a single
     fixed-width bytes array, so a TSV row is one slice of it and an

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import DurationHistogram, IngestReport, NoClaimTable
-from .grids import FormattedTriangle, TwoTimeMatrix, fmt17, write_table
-from .simulate import RenewalEstimate
+from .claims import DurationHistogram, IngestReport, NoClaimRow
+from .grids import TwoTimeMatrix, format_cell, write_table
+from .simulate import RNG_NAME, RenewalEstimate
 
 __all__ = [
     "write_age_mean_report",
@@ -27,21 +27,17 @@ __all__ = [
 ]
 
 
-def write_age_mean_report(
-    H: TwoTimeMatrix, path: str | Path, *, cells: FormattedTriangle | None = None
-) -> None:
+def write_age_mean_report(H: TwoTimeMatrix, path: str | Path) -> None:
     """Mean-claims table: rows are attained ages, columns are contract ages.
 
     Cell (t, s) holds H(s, t), so row t is column t of ``H.values``; the
     diagonal is zero and cells above it (attained age before the contract
-    age) hold the stored zeros of the strict lower triangle.  ``cells`` is
-    ``H`` already formatted, as for :func:`grids.write_matrix_tsv`.
+    age) hold the stored zeros of the strict lower triangle.  The cells come
+    from ``H.formatted``, shared with :func:`grids.write_matrix_tsv`.
     """
-    if cells is None:
-        cells = FormattedTriangle(H)
-    ages = [fmt17(a) for a in H.grid.times()]
-    head = ["attained_age\t" + "\t".join(ages)]
-    write_table(path, head, ([age, cells.column(t)] for t, age in enumerate(ages)))
+    ages = H.grid.times().tolist()
+    rows = ([age, H.formatted.column(t)] for t, age in enumerate(ages))
+    write_table(path, (), chain([["attained_age", *ages]], rows))
 
 
 def write_duration_counts_report(
@@ -71,14 +67,15 @@ def write_duration_df(hist: DurationHistogram, df: np.ndarray, path: str | Path)
     write_table(path, head, rows)
 
 
-def write_no_claim_report(table: NoClaimTable, path: str | Path) -> None:
+def write_no_claim_report(table: tuple[NoClaimRow, ...], path: str | Path) -> None:
     head = ["age\tpolicies\tno_claim\tprob_no_claim\tprob_claim"]
-    rows = ((r.label, r.total, r.no_claim, r.prob_no_claim, r.prob_claim) for r in table.rows)
+    rows = ((r.label, r.total, r.no_claim, r.prob_no_claim, r.prob_claim) for r in table)
     write_table(path, head, rows)
 
 
 def write_ingest_report(report: IngestReport, path: str | Path) -> None:
-    write_table(path, report.as_text().splitlines(), ())
+    """One ``key=value`` line per count."""
+    write_table(path, (f"{k}={v}" for k, v in vars(report).items()), ())
 
 
 def write_simulation_report(
@@ -91,9 +88,9 @@ def write_simulation_report(
     """
     g = F.grid
     head = [
-        f"# sim grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points}"
+        f"# sim grid origin={format_cell(g.origin)} h={format_cell(g.step_h)} n={g.n_points}"
         f" start={estimate.start_idx} horizon={estimate.horizon_idx}"
-        f" seed={estimate.seed} n_paths={estimate.n_paths} rng={estimate.rng_name}",
+        f" seed={estimate.seed} n_paths={estimate.n_paths} rng={RNG_NAME}",
         "t_idx\ttime\testimate\tstd_err",
     ]
     t = estimate.t_indices()

@@ -68,7 +68,7 @@ def check_no_claim_probs() -> dict[str, float]:
     # per entry age, all but the quiet policies claim once, a year after entry
     claimant = np.flatnonzero(np.concatenate([np.arange(total) < total - quiet for _, total, quiet, *_ in groups]))
     records = ClaimRecords(tuple(map(str, range(len(entry)))), entry, claimant, entry[claimant] + 1)
-    rows = no_claim_table(records, 60).rows
+    rows = no_claim_table(records, 60)
     published = [*golden.NO_CLAIM_ROWS, (">=60", *golden.NO_CLAIM_POOLED), ("total", *golden.NO_CLAIM_GRAND_TOTAL)]
     counts = [(r.label, r.total, r.no_claim) for r in rows]
     _require(counts == [(str(label), total, quiet) for label, total, quiet, *_ in published], f"rows {counts}")

@@ -51,7 +51,6 @@ class RenewalEstimate:
     terminal_pmf: np.ndarray = field(repr=False)
     n_paths: int = 0
     seed: int = 0
-    rng_name: str = RNG_NAME
 
     def t_indices(self) -> np.ndarray:
         return np.arange(self.start_idx, self.horizon_idx + 1)

@@ -66,8 +66,8 @@ class SeriesResult:
 class CountingPmf:
     """Distribution of the number of renewals N(t) - N(s).
 
-    ``probs[n]`` is P[N(t) - N(s) = n] for n = 0..n_max; ``truncation_mass``
-    bounds the tail beyond n_max, and the total mass telescopes to 1.
+    ``probs[n]`` is P[N(t) - N(s) = n] for n < len(probs); ``truncation_mass``
+    bounds the tail beyond, and the total mass telescopes to 1.
     """
 
     s_idx: int
@@ -84,10 +84,6 @@ class CountingPmf:
         total = p.sum() + self.truncation_mass
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pmf mass {total} is not 1 within 1e-12")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.probs) - 1
 
     def mean(self) -> float:
         return float(np.dot(np.arange(len(self.probs)), self.probs))

@@ -101,8 +101,7 @@ def test_ingest_conservation(csv_writer):
     records, report = ingest(p, c)
     assert report.claims_read == report.claims_retained + report.claims_discarded
     assert report.policies_read == 3
-    text = report.as_text()
-    assert "claims_read=5\n" in text and "policies_rejected=1\n" in text
+    assert report.claims_read == 5 and report.policies_rejected == 1
 
 
 def test_ingest_errors_carry_line_numbers(csv_writer, tmp_path):
@@ -133,12 +132,37 @@ def test_ingest_errors_carry_line_numbers(csv_writer, tmp_path):
     with pytest.raises(ValueError, match=r"dup\.csv:3: duplicate policy_id"):
         ingest(dup, c)
 
+    # a quoted id spanning lines 2-3 puts the bad age on physical line 4
+    multiline = tmp_path / "multiline.csv"
+    multiline.write_text('policy_id,claim_age\n"A\n",35\nA,abc\n')
+    with pytest.raises(ValueError, match=r"multiline\.csv:4: malformed age 'abc'"):
+        ingest(p, multiline)
+
     # absurd ages fail at their line instead of sizing the count tables
     for age in (100000000000, 3000000):
         huge = tmp_path / f"huge_{age}.csv"
         huge.write_text(f"policy_id,claim_age\nA,30\nA,{age}\n")
         with pytest.raises(ValueError, match=rf"huge_{age}\.csv:3: age {age} outside .*{MAX_AGE}"):
             ingest(p, huge)
+
+
+def test_ingest_reads_utf8_with_or_without_a_byte_order_mark(csv_writer, tmp_path):
+    p, c = csv_writer([("A", 24)], [("A", 30)])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    assert ingest(bom, c)[0].policy_ids == ("A",)
+    assert ingest(p, c)[0].policy_ids == ("A",)
+
+
+def test_ingest_names_a_file_that_is_not_utf8(csv_writer, tmp_path):
+    p, c = csv_writer([("A", 24)], [("A", 30)])
+    bad_policies, bad_claims = tmp_path / "bad_policies.csv", tmp_path / "bad_claims.csv"
+    bad_policies.write_bytes(b"policy_id,entry_age\nA,24\nB,\xff5\n")
+    bad_claims.write_bytes(b"policy_id,claim_age\nA,\xff30\n")
+    with pytest.raises(ValueError, match=r"^\S*bad_policies\.csv: 'utf-8' codec can't decode byte 0xff"):
+        ingest(bad_policies, c)
+    with pytest.raises(ValueError, match=r"^\S*bad_claims\.csv: 'utf-8' codec can't decode byte 0xff"):
+        ingest(p, bad_claims)
 
 
 def test_duration_histogram_per_transition():
@@ -290,14 +314,14 @@ def test_no_claim_table_counts_and_pooling():
         ("E", 63, (64,)),
     )
     table = no_claim_table(records, cap_age=60)
-    labels = [r.label for r in table.rows]
+    labels = [r.label for r in table]
     assert labels == ["18", "59", ">=60", "total"]
-    by_label = {r.label: r for r in table.rows}
+    by_label = {r.label: r for r in table}
     assert by_label["18"].total == 2 and by_label["18"].no_claim == 1
     assert by_label["18"].prob_no_claim == 0.5 and by_label["18"].prob_claim == 0.5
     assert by_label[">=60"].total == 2 and by_label[">=60"].no_claim == 1
     assert by_label["total"].total == 5 and by_label["total"].no_claim == 3
-    assert no_claim_table(_records()).rows == ()
+    assert no_claim_table(_records()) == ()
 
 
 def test_no_claim_published_rows_match():
@@ -475,5 +499,5 @@ def test_columnar_pipeline_matches_the_per_policy_reference(
     table = build_occurrence_table(records, cap_age)
     counts, dropped = _reference_occurrence(triples, cap_age)
     assert np.array_equal(table.counts, counts) and table.dropped_beyond_cap == dropped
-    rows = [(r.label, r.total, r.no_claim) for r in no_claim_table(records, cap_age).rows]
+    rows = [(r.label, r.total, r.no_claim) for r in no_claim_table(records, cap_age)]
     assert rows == _reference_no_claim(triples, cap_age)

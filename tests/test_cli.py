@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import renewalkit
-from renewalkit import golden, selftest
-from renewalkit.claims import NoClaimRow, NoClaimTable, no_claim_table
+from renewalkit import golden, grids, selftest
+from renewalkit.claims import NoClaimRow, no_claim_table
 from renewalkit.cli import main
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
 from renewalkit.solver import (
@@ -172,6 +173,26 @@ def test_solve_and_report_write_the_oracle_bytes(tmp_path, n):
         assert again.read_bytes() == ages.read_bytes()
 
 
+def test_solve_and_report_format_the_matrix_once(tmp_path, monkeypatch):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    built = []
+    init = grids.FormattedTriangle.__init__
+
+    def counted(self, matrix):
+        built.append(matrix)
+        init(self, matrix)
+
+    monkeypatch.setattr(grids.FormattedTriangle, "__init__", counted)
+    for method in ("exact", *QUADRATURE_TAGS):
+        out = tmp_path / f"{method}.tsv"
+        built.clear()
+        assert main(["solve", "--df", str(df_path), "--method", method, "--out", str(out)]) == 0
+        assert len(built) == 1
+        built.clear()
+        assert main(["report", "--matrix", str(out), "--out", str(tmp_path / "ages.tsv")]) == 0
+        assert len(built) == 1
+
+
 def test_solve_missing_input_fails(tmp_path, capsys):
     rc = main(["solve", "--df", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "H.tsv")])
     assert rc == 1
@@ -278,8 +299,8 @@ def _corrupt_no_claim_row(monkeypatch):
 
 def _corrupt_no_claim_table(monkeypatch):
     def shifted(records, cap_age):
-        first, *rest = no_claim_table(records, cap_age).rows
-        return NoClaimTable((NoClaimRow(first.label, first.total, first.no_claim + 1), *rest))
+        first, *rest = no_claim_table(records, cap_age)
+        return (NoClaimRow(first.label, first.total, first.no_claim + 1), *rest)
 
     monkeypatch.setattr(selftest, "no_claim_table", shifted)
 
@@ -351,3 +372,84 @@ def test_selftest_fails_under_optimised_python():
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL waiting-time probabilities" in proc.stdout
+
+
+# a hand-written messy corpus: blank lines, blank and padded ages, an under-18
+# and an age-150 policy, same-age, pre-entry and past-cap claims, a quoted id
+_MESSY_POLICIES = (
+    'policy_id,entry_age\nP1,23\n\nP2, 30 \nP3,\n"Q,4",25\nP5,16\nP6,150\nP7,61\nP8,  \nP9,40\n'
+)
+_MESSY_CLAIMS = (
+    "policy_id,claim_age\nP1,41\nP1,41\nP1,23\nP1,20\n\nP2, 45 \nP3,30\nP3,24\n"
+    '"Q,4",40\n"Q,4",70\nP5,30\nP5,abc\nP6,150\nP7,65\nP7,62\nP9,41\nP9,55\nP9,58\nP2,50\n'
+)
+
+
+def _messy_output_digests(tmp_path):
+    """sha256 of every file that build-df, report and simulate write from the messy corpus."""
+    policies, claims = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    policies.write_text(_MESSY_POLICIES)
+    claims.write_text(_MESSY_CLAIMS)
+    for mode in ("bucket1", "discard"):
+        for cap in ("60", "40"):
+            out = tmp_path / f"{mode}-{cap}"
+            assert main(["build-df", "--policies", str(policies), "--claims", str(claims),
+                         "--out-dir", str(out), "--zero-duration", mode, "--cap-age", cap]) == 0
+            F = out / "waiting_df_by_age.tsv"
+            assert main(["report", "--matrix", str(F), "--out", str(out / "report.tsv")]) == 0
+            assert main(["simulate", "--df", str(F), "--paths", "300", "--seed", "11",
+                         "--start", "5", "--horizon", str(int(cap) - 18), "--out", str(out / "sim.tsv")]) == 0
+    return {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*/*"))
+    }
+
+
+# the bytes each of those files must keep; solve is left to the oracle tests,
+# since BLAS may sum in another order on another host
+_MESSY_DIGESTS = {
+    "bucket1-40/ingest_report.txt": "8c42f1910715ffb9ff1a2515bfbdae4ba01823ccede18df16169c0a5408630e1",
+    "bucket1-40/no_claim_probabilities.tsv": "f02f5ae9d3d6ab6bf370b7c289b413f7bd9778bc2fbf680fd9473f99798a3f65",
+    "bucket1-40/report.tsv": "5990fea121ad89582a988294572d317c7042122f3ea62ff1deb8abb33ad267db",
+    "bucket1-40/sim.tsv": "6ea0fa4ca013a0da31d98d0ca39d7e183a4fdf16aaf989bb39e45d33c1e61573",
+    "bucket1-40/waiting_df_by_age.tsv": "fcd2b265dbee7d9847d78a458b2fd980a01c193d4a09a01ba4320c0330b2e2f5",
+    "bucket1-40/waiting_df_entry_to_first.tsv": "e1412eff3e9ea878a5106540bfc8de32ad01e0a698dee293bd1f054d29d8adf6",
+    "bucket1-40/waiting_df_first_to_second.tsv": "9928523230863065edfc17b2142e83c3f2d7160ba969e5d0e28f7da0504892d4",
+    "bucket1-40/waiting_df_merged.tsv": "8bdd6fc76a2f4cada99162372d10f4f0c1726182d35b787b5910966dd7945dcd",
+    "bucket1-40/waiting_df_second_to_third.tsv": "8d9eb6130e78967ed38bb26a81177010a1822fe32fa4f5de3d7cd10449857268",
+    "bucket1-40/waiting_time_counts.tsv": "ca2dc562c9e7448e97fa509608baa73149f76e4f986d4fcaed8032373af3ed1f",
+    "bucket1-60/ingest_report.txt": "8c42f1910715ffb9ff1a2515bfbdae4ba01823ccede18df16169c0a5408630e1",
+    "bucket1-60/no_claim_probabilities.tsv": "c36e40ca46f00b04686557099bf6dfec693f3582b5b040367c844b213f9ca647",
+    "bucket1-60/report.tsv": "c80c17567e74abb0b2d3c134d73d1a4eb210121a69ced521e23259480af20576",
+    "bucket1-60/sim.tsv": "f8696d92aa67d009777bc20bf5c14685ebe851c9e5ede828383ebab9d36c3915",
+    "bucket1-60/waiting_df_by_age.tsv": "6eb75f1c47bdfd4c8688a9d3572d58377c30b3b0b87c68b25f627149c5b98d49",
+    "bucket1-60/waiting_df_entry_to_first.tsv": "e1412eff3e9ea878a5106540bfc8de32ad01e0a698dee293bd1f054d29d8adf6",
+    "bucket1-60/waiting_df_first_to_second.tsv": "9928523230863065edfc17b2142e83c3f2d7160ba969e5d0e28f7da0504892d4",
+    "bucket1-60/waiting_df_merged.tsv": "8bdd6fc76a2f4cada99162372d10f4f0c1726182d35b787b5910966dd7945dcd",
+    "bucket1-60/waiting_df_second_to_third.tsv": "8d9eb6130e78967ed38bb26a81177010a1822fe32fa4f5de3d7cd10449857268",
+    "bucket1-60/waiting_time_counts.tsv": "ca2dc562c9e7448e97fa509608baa73149f76e4f986d4fcaed8032373af3ed1f",
+    "discard-40/ingest_report.txt": "3dfd230c12bf4ebeecf4b9df95263eb49607794ed2d9fb716a8ac327de97054a",
+    "discard-40/no_claim_probabilities.tsv": "d1cba141352ffb23d06118864d4df0c41ef4dcff9f8ce43c2227fffa7f25e1a2",
+    "discard-40/report.tsv": "a8dbef40da5d01be0d9a972268ec12d5a93bdba5ce173649da39a9b6795d5e13",
+    "discard-40/sim.tsv": "ed789bc5a512fbf7ed1b10cdef8b81accaa5463ae79a1ad07ae12610769c9fbd",
+    "discard-40/waiting_df_by_age.tsv": "e3c93ce3ca3cd81b01942cc4051537882d1ddfff3f73b05750dea997115ed25a",
+    "discard-40/waiting_df_entry_to_first.tsv": "b85cbe1cda805bb0c0b04821df4c2158045fc0a9a4d1d48a5bd37e6efafebc40",
+    "discard-40/waiting_df_first_to_second.tsv": "b7c9e210c32d3f4e1307879ef585faa5d7f5265edd6d74a51dc85f6d61c17802",
+    "discard-40/waiting_df_merged.tsv": "e8b8c973dc17f9b95682e7d3966c0818822cc08b32eb3a4fd0478f4685004d33",
+    "discard-40/waiting_df_second_to_third.tsv": "058f5e92b6f585f4648c1149df5d2d01ab905caf880daa240a0a6f4c1044d212",
+    "discard-40/waiting_time_counts.tsv": "f89d07b63cc6773f9c792d862a26512db0f316e1e7f0d9738f5c96d71d873480",
+    "discard-60/ingest_report.txt": "3dfd230c12bf4ebeecf4b9df95263eb49607794ed2d9fb716a8ac327de97054a",
+    "discard-60/no_claim_probabilities.tsv": "8bffcca5602d3c553bbd46bcae1945e32193ab6311d9a1f14b22756cce3ba80f",
+    "discard-60/report.tsv": "7e2d7d04bdbebde08363580da70492e0141f6984b3282cc9648e25c89364e086",
+    "discard-60/sim.tsv": "df1006aa87952425909e8c9dea4c70572cbd078923892de3e34e2e18e00e08ae",
+    "discard-60/waiting_df_by_age.tsv": "1810363fa3c570c4db4025afdcf0a7bc0f3fbad1fa24d712bd303730c2c83636",
+    "discard-60/waiting_df_entry_to_first.tsv": "b85cbe1cda805bb0c0b04821df4c2158045fc0a9a4d1d48a5bd37e6efafebc40",
+    "discard-60/waiting_df_first_to_second.tsv": "b7c9e210c32d3f4e1307879ef585faa5d7f5265edd6d74a51dc85f6d61c17802",
+    "discard-60/waiting_df_merged.tsv": "e8b8c973dc17f9b95682e7d3966c0818822cc08b32eb3a4fd0478f4685004d33",
+    "discard-60/waiting_df_second_to_third.tsv": "058f5e92b6f585f4648c1149df5d2d01ab905caf880daa240a0a6f4c1044d212",
+    "discard-60/waiting_time_counts.tsv": "f89d07b63cc6773f9c792d862a26512db0f316e1e7f0d9738f5c96d71d873480",
+}
+
+
+def test_build_df_report_and_simulate_bytes_are_pinned(tmp_path):
+    assert _messy_output_digests(tmp_path) == _MESSY_DIGESTS

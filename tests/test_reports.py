@@ -1,8 +1,9 @@
 """Every TSV writer against a byte-exact oracle of its former per-writer formatting.
 
 Each oracle below builds the file text the way the writer did before all of
-them went through ``grids.write_table``: one ``fmt17`` call per float cell,
-f-strings for the ints, and per-row branches where the writer had them.
+them went through ``grids.write_table``: one ``format(x, ".17g")`` call per
+float cell, f-strings for the ints, and per-row branches where the writer had
+them.
 """
 
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_grids import _matrices
 
-from renewalkit.claims import DurationHistogram, NoClaimRow, NoClaimTable, histogram_to_df
-from renewalkit.grids import FormattedTriangle, TimeGrid, TwoTimeMatrix, fmt17, write_matrix_tsv, write_table
+from renewalkit.claims import DurationHistogram, NoClaimRow, histogram_to_df
+from renewalkit.grids import TimeGrid, TwoTimeMatrix, write_matrix_tsv, write_table
 from renewalkit.reports import (
     write_age_mean_report,
     write_duration_counts_report,
@@ -26,23 +27,27 @@ from renewalkit.simulate import RenewalEstimate
 _SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _fmt17(x):
+    return format(x, ".17g")
+
+
 def _text(lines):
     return ("\n".join(lines) + "\n").encode()
 
 
 def _oracle_matrix(matrix):
     g = matrix.grid
-    lines = [f"# grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
+    lines = [f"# grid origin={_fmt17(g.origin)} h={_fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
     for i in range(g.n_points):
-        lines.append("\t".join(fmt17(x) for x in matrix.values[i, i:]))
+        lines.append("\t".join(_fmt17(x) for x in matrix.values[i, i:]))
     return _text(lines)
 
 
 def _oracle_age_mean(H):
-    ages = [fmt17(a) for a in H.grid.times()]
+    ages = [_fmt17(a) for a in H.grid.times()]
     lines = ["attained_age\t" + "\t".join(ages)]
     for age, column in zip(ages, H.values.T):
-        lines.append(age + "\t" + "\t".join(map(fmt17, column.tolist())))
+        lines.append(age + "\t" + "\t".join(map(_fmt17, column.tolist())))
     return _text(lines)
 
 
@@ -57,11 +62,11 @@ def _oracle_duration_counts(first_to_second, second_to_third):
         c2 = int(second_to_third.counts[i]) if i <= second_to_third.horizon else 0
         p1 = c1 / first_to_second.total if first_to_second.total else 0.0
         p2 = c2 / second_to_third.total if second_to_third.total else 0.0
-        lines.append(f"{i}\t{c1}\t{c2}\t{fmt17(p1)}\t{fmt17(p2)}")
+        lines.append(f"{i}\t{c1}\t{c2}\t{_fmt17(p1)}\t{_fmt17(p2)}")
     lines.append(
         f"total\t{first_to_second.total}\t{second_to_third.total}"
-        f"\t{fmt17(1.0 if first_to_second.total else 0.0)}"
-        f"\t{fmt17(1.0 if second_to_third.total else 0.0)}"
+        f"\t{_fmt17(1.0 if first_to_second.total else 0.0)}"
+        f"\t{_fmt17(1.0 if second_to_third.total else 0.0)}"
     )
     return _text(lines)
 
@@ -71,16 +76,16 @@ def _oracle_duration_df(hist, df):
     total = hist.total
     for i in range(1, hist.horizon + 1):
         pmf = hist.counts[i] / total
-        lines.append(f"{i}\t{int(hist.counts[i])}\t{fmt17(pmf)}\t{fmt17(df[i])}")
+        lines.append(f"{i}\t{int(hist.counts[i])}\t{_fmt17(pmf)}\t{_fmt17(df[i])}")
     return _text(lines)
 
 
 def _oracle_no_claim(table):
     lines = ["age\tpolicies\tno_claim\tprob_no_claim\tprob_claim"]
-    for row in table.rows:
+    for row in table:
         lines.append(
             f"{row.label}\t{row.total}\t{row.no_claim}"
-            f"\t{fmt17(row.prob_no_claim)}\t{fmt17(row.prob_claim)}"
+            f"\t{_fmt17(row.prob_no_claim)}\t{_fmt17(row.prob_claim)}"
         )
     return _text(lines)
 
@@ -88,15 +93,15 @@ def _oracle_no_claim(table):
 def _oracle_simulation(estimate, F):
     g = F.grid
     lines = [
-        f"# sim grid origin={fmt17(g.origin)} h={fmt17(g.step_h)} n={g.n_points}"
+        f"# sim grid origin={_fmt17(g.origin)} h={_fmt17(g.step_h)} n={g.n_points}"
         f" start={estimate.start_idx} horizon={estimate.horizon_idx}"
-        f" seed={estimate.seed} n_paths={estimate.n_paths} rng={estimate.rng_name}",
+        f" seed={estimate.seed} n_paths={estimate.n_paths} rng=PCG64",
         "t_idx\ttime\testimate\tstd_err",
     ]
     for j, t in enumerate(estimate.t_indices()):
         lines.append(
-            f"{t}\t{fmt17(g.time_of(int(t)))}"
-            f"\t{fmt17(estimate.means[j])}\t{fmt17(estimate.std_errs[j])}"
+            f"{t}\t{_fmt17(g.time_of(int(t)))}"
+            f"\t{_fmt17(estimate.means[j])}\t{_fmt17(estimate.std_errs[j])}"
         )
     return _text(lines)
 
@@ -125,7 +130,7 @@ def _no_claim_tables(draw):
     for label in draw(st.lists(st.sampled_from(["18", "24", "59", ">=60", ">=40", "total"]), max_size=6)):
         total = draw(st.one_of(st.integers(1, 1000), st.integers(10**17, 10**19)))
         rows.append(NoClaimRow(label, total, draw(st.integers(0, total))))
-    return NoClaimTable(tuple(rows))
+    return tuple(rows)
 
 
 @st.composite
@@ -160,13 +165,17 @@ def _diagonal_matrix(diagonal, kind):
 @given(matrix=_matrices())
 @example(matrix=_diagonal_matrix([-2.2250738585072014e-308, -5e-324, -0.0, 1e300], "density"))
 @example(matrix=_diagonal_matrix(_LONGEST, "generic"))
+# grid fields given as a float32 and an int of 1e17 are written as the floats they stand for
+@example(matrix=TwoTimeMatrix(TimeGrid(np.float32(0.1), 10**17, 2), np.eye(2), "density"))
 def test_matrix_writers_match_the_oracle(tmp_path, matrix):
-    # each writer formats its own cells, then both share one formatting pass
-    for cells in (None, FormattedTriangle(matrix)):
-        write_matrix_tsv(matrix, tmp_path / "m.tsv", cells=cells)
-        write_age_mean_report(matrix, tmp_path / "ages.tsv", cells=cells)
-        assert (tmp_path / "m.tsv").read_bytes() == _oracle_matrix(matrix)
-        assert (tmp_path / "ages.tsv").read_bytes() == _oracle_age_mean(matrix)
+    # either writer may be the first to format the matrix; the other reads its cells
+    writers = (write_matrix_tsv, write_age_mean_report)
+    for first, second in (writers, writers[::-1]):
+        fresh = TwoTimeMatrix(matrix.grid, matrix.values, matrix.kind)
+        first(fresh, tmp_path / first.__name__)
+        second(fresh, tmp_path / second.__name__)
+        assert (tmp_path / "write_matrix_tsv").read_bytes() == _oracle_matrix(matrix)
+        assert (tmp_path / "write_age_mean_report").read_bytes() == _oracle_age_mean(matrix)
 
 
 def test_shared_cells_bound_the_writers_memory(tmp_path):
@@ -175,9 +184,8 @@ def test_shared_cells_bound_the_writers_memory(tmp_path):
     H = TwoTimeMatrix(TimeGrid(18.0, 0.1, n), np.triu(rng.uniform(0, 60, (n, n)), 1), "renewal")
     tracemalloc.start()
     try:
-        cells = FormattedTriangle(H)
-        write_matrix_tsv(H, tmp_path / "H.tsv", cells=cells)
-        write_age_mean_report(H, tmp_path / "ages.tsv", cells=cells)
+        write_matrix_tsv(H, tmp_path / "H.tsv")
+        write_age_mean_report(H, tmp_path / "ages.tsv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
