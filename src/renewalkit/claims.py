@@ -7,13 +7,26 @@ the pooling cap (default 60) are compiled together.
 
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
 (policy, age); every count table is an ``np.bincount`` over its columns.
+
+:func:`ingest` reads each CSV in blocks of about 64 KiB of whole lines.  A
+block of plain ``id,age`` lines is split on its commas in one pass, its ids
+go through the policy index in one ``map`` and its ages through one
+``np.fromiter``, and the results are appended to flat ``array("q")``
+columns.  A block with a blank, padded or ragged line, or longer than the
+csv field limit, goes through ``csv`` instead, and so does the rest of a
+file from its first quote on.  A block that fails any check is walked
+again row by row, so each error names the file and the physical line of
+the first failing record, whichever check it fails.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from array import array
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +58,19 @@ BASE_AGE = 18
 MAX_AGE = 150
 
 TRANSITIONS = ("entry-to-first", "first-to-second", "second-to-third", "merged")
+
+#: characters of whole CSV lines read per block
+_BLOCK = 1 << 16
+
+#: the UTF-8 bytes a plain field may hold: printable ASCII but space, quote and
+#: comma, and every byte of a non-ASCII character (``_split`` tests those apart)
+_FIELD_BYTES = bytes(b for b in range(0x21, 0x100) if b not in b'",\x7f')
+
+#: characters of an age echoed in its error message
+_ECHO = 32
+
+#: the physical line numbers, ids and ages of a block of records
+_Block = tuple[Sequence[int], list[str], list[str]]
 
 
 @dataclass(frozen=True)
@@ -125,45 +151,74 @@ def ingest(
     fatal) and discards its claims; claims are sorted within each policy,
     claims dated before the entry age are discarded, and a claim at the
     same age as its renewal (the entry or the previous claim) follows
-    ``zero_duration``.  Ages above ``MAX_AGE``, malformed rows and claims
-    pointing at unknown policies raise with the file and line number.
+    ``zero_duration``.  An age is an optional sign and ASCII digits.  Ages
+    above ``MAX_AGE``, malformed rows and ages, and claims pointing at
+    unknown policies raise with the file and line number.
+
+    Each block of records from :func:`_records` is checked and stored at
+    once; a block that fails any check is walked row by row instead, so
+    the first failing line raises, whichever check it fails.  A malformed
+    age on a rejected policy's claim is not read, so it does not fail.
     """
     report = IngestReport()
     index: dict[str, int] = {}  # policy id -> column index, -1 if rejected
     ids: list[str] = []
-    entries: list[int] = []
+    entries, owners, ages = array("q"), array("q"), array("q")
 
-    for lineno, (pid, age_text) in _csv_rows(policies_file, ("policy_id", "entry_age")):
-        if pid in index:
-            raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
-        report.policies_read += 1
-        if age_text == "":
-            entry_age = cleaning.impute_entry_age
-            report.imputed_entries += 1
-        else:
-            entry_age = _parse_age(age_text, policies_file, lineno)
-            if entry_age < BASE_AGE:
-                report.policies_rejected += 1
-                index[pid] = -1
-                continue
-        index[pid] = len(ids)
-        ids.append(pid)
-        entries.append(entry_age)
+    blank = str(cleaning.impute_entry_age)  # read in place of a blank entry age
+    for linenos, pids, texts in _records(policies_file, ("policy_id", "entry_age")):
+        imputed = texts.count("")
+        entry = _bulk_ages([t or blank for t in texts] if imputed else texts)
+        if entry is not None and len(set(pids)) == len(pids) and index.keys().isdisjoint(pids):
+            keep = entry >= BASE_AGE
+            report.policies_read += len(pids)
+            report.imputed_entries += imputed
+            report.policies_rejected += len(pids) - int(keep.sum())
+            index.update(zip(pids, np.where(keep, np.cumsum(keep) + (len(ids) - 1), -1).tolist()))
+            ids.extend(compress(pids, keep.tolist()))
+            entries.frombytes(entry[keep].tobytes())
+            continue
+        for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
+            if pid in index:
+                raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
+            report.policies_read += 1
+            if text == "":
+                entry_age = cleaning.impute_entry_age
+                report.imputed_entries += 1
+            else:
+                entry_age = _parse_age(text, policies_file, lineno)
+                if entry_age < BASE_AGE:
+                    report.policies_rejected += 1
+                    index[pid] = -1
+                    continue
+            index[pid] = len(ids)
+            ids.append(pid)
+            entries.append(entry_age)
 
-    owners, ages = array("q"), array("q")
-    for lineno, (pid, age_text) in _csv_rows(claims_file, ("policy_id", "claim_age")):
-        report.claims_read += 1
-        i = index.get(pid)
-        if i is None:
-            raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
-        if i >= 0:
-            owners.append(i)
-            ages.append(_parse_age(age_text, claims_file, lineno))
+    for linenos, pids, texts in _records(claims_file, ("policy_id", "claim_age")):
+        owner = np.fromiter(map(index.get, pids, repeat(-2)), np.int64, len(pids))  # -2: unknown
+        kept = owner >= 0
+        # a rejected policy's claim ages are not read
+        age = _bulk_ages(texts if kept.all() else list(compress(texts, kept.tolist())))
+        if age is not None and owner.min(initial=0) >= -1:
+            report.claims_read += len(pids)
+            owners.frombytes(owner[kept].tobytes())
+            ages.frombytes(age.tobytes())
+            continue
+        for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
+            report.claims_read += 1
+            i = index.get(pid)
+            if i is None:
+                raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
+            if i >= 0:
+                owners.append(i)
+                ages.append(_parse_age(text, claims_file, lineno))
 
-    entry = np.array(entries, dtype=np.int64)
+    entry = np.asarray(entries, dtype=np.int64)
     p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
     order = np.lexsort((c, p))
     p, c = p[order], c[order]
+    del owners, ages, order  # the unsorted columns, before the copies below
     keep = c >= entry[p]
     if cleaning.zero_duration == "discard":
         keep &= c > entry[p]
@@ -173,39 +228,151 @@ def ingest(
     return ClaimRecords(tuple(ids), entry, p[keep], c[keep]), report
 
 
-def _csv_rows(path: str | Path, header: tuple[str, str]):
-    """(physical line number, stripped fields) per non-blank record after the header.
+def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
+    """(physical line numbers, ids, ages) per block of records after the header.
 
-    The file is UTF-8, with or without a byte-order mark; a record whose
-    quoted field spans lines is numbered by its last line.
+    The file is UTF-8, with or without a byte-order mark.  It is read in
+    blocks of about ``_BLOCK`` characters of whole lines.  A block of plain
+    ``id,age`` lines (see :func:`_split`) is split in one pass; any other
+    block goes through ``csv``, and from a block holding a quote on, so does
+    the rest of the file, since a quoted field may run into the next block.
+    Fields are stripped, blank lines are skipped but counted, and a record
+    whose quoted field spans lines is numbered by its last line.  A ragged
+    row, a ``csv`` error or an undecodable byte is raised only after the
+    records before it have been yielded.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
+            try:
+                first = next(reader, None)
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             if first is None:
                 raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
             if tuple(x.strip() for x in first) != header:
                 raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-                yield reader.line_num, (row[0].strip(), row[1].strip())
+            line, limit = reader.line_num, csv.field_size_limit()
+            while True:
+                try:
+                    text = "".join(fh.readlines(_BLOCK))
+                except UnicodeDecodeError:
+                    # the lines this block read before the bad byte are checked first
+                    with open(path, newline="", encoding="utf-8-sig") as again:
+                        yield from _csv_records(path, islice(again, line, None), line)
+                    raise
+                if not text:
+                    return
+                fields = _split(text, limit)
+                if fields is not None:
+                    yield range(line + 1, line + 1 + len(fields[0])), *fields
+                    line += len(fields[0])
+                elif '"' in text:
+                    yield from _csv_records(path, chain(io.StringIO(text, newline=""), fh), line)
+                    return
+                else:
+                    line += yield from _csv_records(path, io.StringIO(text, newline=""), line)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_age(text: str, path: str | Path, lineno: int) -> int:
+def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
+    """The ids and ages of a block of plain ``id,age`` lines, or None if it needs ``csv``.
+
+    A plain line holds one comma and otherwise only printable characters
+    other than space and quote, so a blank or whitespace-only line is not
+    plain, and plain lines split on the comma as ``csv`` and ``str.strip``
+    read them.  A block longer than ``limit``, the csv field limit, is not
+    plain either, since it may hold a field past that limit.
+    """
+    if len(text) > limit:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of the file
+    if text.encode().translate(None, _FIELD_BYTES) != b",\n" * text.count("\n"):
+        return None
+    flat = text.replace("\n", ",")
+    if not (flat.isascii() or flat.isprintable()):
+        return None
+    fields = flat.split(",")
+    return fields[0:-1:2], fields[1::2]
+
+
+def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Generator[_Block, None, int]:
+    """The records ``csv`` reads from ``lines``, which start after physical line ``line``.
+
+    Yields (line numbers, ids, ages) in batches of a block's worth of rows,
+    then raises what stopped the reader, if anything, or returns the number
+    of lines it read.
+    """
+    reader = csv.reader(lines)
+    nums: list[int] = []
+    ids: list[str] = []
+    ages: list[str] = []
+    fault: Exception | None = None
     try:
-        age = int(text)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                fault = ValueError(f"{path}:{line + reader.line_num}: expected 2 fields, got {len(row)}")
+                break
+            nums.append(line + reader.line_num)
+            ids.append(row[0].strip())
+            ages.append(row[1].strip())
+            if len(nums) * 16 >= _BLOCK:  # about a block of short lines
+                yield nums, ids, ages
+                nums, ids, ages = [], [], []
+    except csv.Error as exc:
+        fault = ValueError(f"{path}:{line + reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
+        fault = exc
+    yield nums, ids, ages
+    if fault is not None:
+        raise fault
+    return reader.line_num
+
+
+def _bulk_ages(texts: list[str]) -> np.ndarray | None:
+    """:func:`_parse_age` over a block at once, or None if it would raise for any text.
+
+    ``int`` alone also reads ``2_4`` and non-ASCII digits such as ``٢٤``, so
+    the joined texts are tested once for both.
+    """
+    joined = "".join(texts)
+    if "_" in joined or not joined.isascii():
+        return None
+    try:
+        ages = np.fromiter(map(int, texts), np.int64, len(texts))
+    except (ValueError, OverflowError):
+        return None
+    # no clamp below BASE_AGE: such an age rejects its policy or predates its entry
+    return None if ages.max(initial=MAX_AGE) > MAX_AGE else ages
+
+
+def _parse_age(text: str, path: str | Path, lineno: int) -> int:
+    """An optional sign and ASCII digits, at most ``MAX_AGE``; ages below ``BASE_AGE`` clamp to 17."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        age = int(text)  # also raises past the interpreter's digit limit
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: malformed age {text!r}") from None
+        raise ValueError(f"{path}:{lineno}: malformed age {text[:_ECHO]!r}{_cut(text)}") from None
     if age > MAX_AGE:
-        raise ValueError(f"{path}:{lineno}: age {age} outside the accepted range (at most {MAX_AGE})")
+        shown = str(age)
+        raise ValueError(
+            f"{path}:{lineno}: age {shown[:_ECHO]}{_cut(shown)} outside the accepted range (at most {MAX_AGE})"
+        )
     # every age below BASE_AGE is cleaned alike, so clamp to keep int64 columns in range
     return age if age >= BASE_AGE else BASE_AGE - 1
+
+
+def _cut(text: str) -> str:
+    """What a message adds after echoing ``text[:_ECHO]``: nothing, or how much was cut."""
+    return f" (the first {_ECHO} of {len(text)} characters)" if len(text) > _ECHO else ""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from renewalkit import golden
+from renewalkit import claims, golden
 from renewalkit.claims import (
     BASE_AGE,
     MAX_AGE,
@@ -11,6 +13,7 @@ from renewalkit.claims import (
     ClaimRecords,
     CleaningConfig,
     DurationHistogram,
+    IngestReport,
     build_duration_histogram,
     build_occurrence_table,
     histogram_to_df,
@@ -163,6 +166,106 @@ def test_ingest_names_a_file_that_is_not_utf8(csv_writer, tmp_path):
         ingest(bad_policies, c)
     with pytest.raises(ValueError, match=r"^\S*bad_claims\.csv: 'utf-8' codec can't decode byte 0xff"):
         ingest(p, bad_claims)
+
+
+def test_ingest_reads_an_age_as_a_sign_and_ascii_digits(csv_writer, tmp_path):
+    p, c = csv_writer([("A", 24), ("B", "+30"), ("C", "-3"), ("D", "025")], [("A", "+40"), ("D", "031")])
+    records, report = ingest(p, c)
+    assert _triples(records) == [("A", 24, (40,)), ("B", 30, ()), ("D", 25, (31,))]
+    assert report.policies_rejected == 1
+    # int() alone reads digit separators and non-ASCII digits; an age does not.  The
+    # padded copy goes through the csv route, the other through the block parse.
+    for i, text in enumerate(["2_4", "٢٤", "２４", "+-2", " 2_4 "]):
+        bad_p, bad_c = tmp_path / f"p{i}.csv", tmp_path / f"c{i}.csv"
+        bad_p.write_text(f"policy_id,entry_age\nA,24\nB,{text}\n", encoding="utf-8")
+        bad_c.write_text(f"policy_id,claim_age\nA,30\nA,{text}\n", encoding="utf-8")
+        for read in (ingest, _reference_ingest):
+            for files, bad in (((bad_p, c), bad_p), ((p, bad_c), bad_c)):
+                with pytest.raises(ValueError) as exc:
+                    read(*files)
+                assert str(exc.value) == f"{bad}:3: malformed age {text.strip()!r}"
+    # a 5000-digit token is echoed cut, by the block parse and the csv route alike
+    for quote in ("", '"'):
+        long_c = tmp_path / f"long{len(quote)}.csv"
+        long_c.write_text(f"policy_id,claim_age\nA,30\nA,{quote}{'9' * 5000}{quote}\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(p, long_c)
+        assert str(exc.value) == f"{long_c}:3: malformed age '{'9' * 32}' (the first 32 of 5000 characters)"
+    over = tmp_path / "over.csv"
+    over.write_text(f"policy_id,claim_age\nA,{'9' * 40}\n")
+    with pytest.raises(ValueError) as exc:
+        ingest(p, over)
+    assert str(exc.value) == (
+        f"{over}:2: age {'9' * 32} (the first 32 of 40 characters) outside the accepted range (at most {MAX_AGE})"
+    )
+
+
+def test_ingest_strips_non_ascii_whitespace(csv_writer):
+    # str.strip removes a no-break or ideographic space, so such a block is not split plainly
+    p, c = csv_writer([("\u00a0A", 24), ("B\u3000", 30)], [("A\u00a0", "\u3000" + "31")])
+    assert _triples(ingest(p, c)[0]) == [("A", 24, (31,)), ("B", 30, ())]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("file", ["policies", "claims"])
+def test_a_csv_error_names_its_file_and_line(csv_writer, quoted, file):
+    # a field past csv's limit fails in csv either way; the block parse must not split it
+    p, c = csv_writer([("A", 24)], [("A", 30)])
+    long_id = "X" * (csv.field_size_limit() + 1)
+    bad = p if file == "policies" else c
+    field = f'"{long_id}"' if quoted else long_id
+    bad.write_text(bad.read_text() + f"{field},31\n")
+    want = f"{bad}:3: field larger than field limit ({csv.field_size_limit()})"
+    for read in (ingest, _reference_ingest):
+        with pytest.raises(ValueError) as exc:
+            read(p, c)
+        assert str(exc.value) == want
+
+
+def test_ingest_checks_the_lines_before_an_undecodable_byte(csv_writer, tmp_path):
+    # the bad byte lies in the same block as line 3 but in a later decoded chunk
+    p, _ = csv_writer([("A", 24)], [])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"policy_id,claim_age\nA,30\nA,old\n" + b"A,31\r\n" * 5000 + b"A,\xff\n")
+    for read in (ingest, _reference_ingest):
+        with pytest.raises(ValueError, match=r"^\S*bad\.csv:3: malformed age 'old'$"):
+            read(p, bad)
+    bad.write_bytes(b"policy_id,claim_age\nA,30\n" + b"A,31\r\n" * 5000 + b"A,\xff\nA,old\n")
+    messages = set()
+    for read in (ingest, _reference_ingest):
+        with pytest.raises(ValueError, match=r"^\S*bad\.csv: 'utf-8' codec can't decode byte 0xff") as exc:
+            read(p, bad)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("block", [1 << 16, 8], ids=["one-block", "block-per-line"])
+@pytest.mark.parametrize("first_row", ["A,30", "A ,30", '"A",30'], ids=["plain", "padded", "quoted"])
+def test_the_first_failing_line_wins(csv_writer, tmp_path, monkeypatch, first_row, block):
+    # the first data row sends its block through the block parse or the csv
+    # route, or the whole file through the csv route; with a block per line
+    # each fault and the record before it lie in different blocks
+    monkeypatch.setattr(claims, "_BLOCK", block)
+    p, c = csv_writer([("A", 24), ("B", 30)], [])
+    cases = [
+        ("claims", "A,old\nA,31\nA,1,2\n", "3: malformed age 'old'"),
+        ("claims", "A,old\nZ,31\n", "3: malformed age 'old'"),
+        ("claims", "Z,31\nA,old\n", "3: claim references unknown policy_id 'Z'"),
+        ("claims", "A\nA,151\n", "3: expected 2 fields, got 1"),
+        ("claims", "A,151\nA\n", f"3: age 151 outside the accepted range (at most {MAX_AGE})"),
+        ("policies", "C,old\nA,31\n", "3: malformed age 'old'"),
+        ("policies", "A,31\nC,old\n", "3: duplicate policy_id 'A'"),
+        ("policies", "C,17\nD,1,2\n", "4: expected 2 fields, got 3"),
+    ]
+    for i, (file, rows, want) in enumerate(cases):
+        header = "policy_id,entry_age" if file == "policies" else "policy_id,claim_age"
+        bad = tmp_path / f"{file}{i}.csv"
+        bad.write_text(f"{header}\n{first_row}\n{rows}")
+        files = (bad, c) if file == "policies" else (p, bad)
+        for read in (ingest, _reference_ingest):
+            with pytest.raises(ValueError) as exc:
+                read(*files)
+            assert str(exc.value) == f"{bad}:{want}"
 
 
 def test_duration_histogram_per_transition():
@@ -501,3 +604,180 @@ def test_columnar_pipeline_matches_the_per_policy_reference(
     assert np.array_equal(table.counts, counts) and table.dropped_beyond_cap == dropped
     rows = [(r.label, r.total, r.no_claim) for r in no_claim_table(records, cap_age)]
     assert rows == _reference_no_claim(triples, cap_age)
+
+
+# -- the per-row ingest the block parse replaced, kept as its oracle --
+
+
+def _reference_ingest(policies_file, claims_file, cleaning=CleaningConfig()):
+    """One ``csv.reader`` row at a time through the same checks.
+
+    Beyond the earlier code it carries the two later fixes: a ``csv`` error
+    names its file and line, and ages go through ``claims._parse_age``.
+    """
+    report = IngestReport()
+    index, ids, entries = {}, [], []
+    for lineno, (pid, age_text) in _reference_rows(policies_file, ("policy_id", "entry_age")):
+        if pid in index:
+            raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
+        report.policies_read += 1
+        if age_text == "":
+            entry_age = cleaning.impute_entry_age
+            report.imputed_entries += 1
+        else:
+            entry_age = claims._parse_age(age_text, policies_file, lineno)
+            if entry_age < BASE_AGE:
+                report.policies_rejected += 1
+                index[pid] = -1
+                continue
+        index[pid] = len(ids)
+        ids.append(pid)
+        entries.append(entry_age)
+
+    owners, ages = [], []
+    for lineno, (pid, age_text) in _reference_rows(claims_file, ("policy_id", "claim_age")):
+        report.claims_read += 1
+        i = index.get(pid)
+        if i is None:
+            raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
+        if i >= 0:
+            owners.append(i)
+            ages.append(claims._parse_age(age_text, claims_file, lineno))
+
+    entry = np.array(entries, dtype=np.int64)
+    p, c = np.array(owners, dtype=np.int64), np.array(ages, dtype=np.int64)
+    order = np.lexsort((c, p))
+    p, c = p[order], c[order]
+    keep = c >= entry[p]
+    if cleaning.zero_duration == "discard":
+        keep &= c > entry[p]
+        keep[1:] &= (p[1:] != p[:-1]) | (c[1:] != c[:-1])
+    report.claims_retained = int(keep.sum())
+    report.claims_discarded = report.claims_read - report.claims_retained
+    return ClaimRecords(tuple(ids), entry, p[keep], c[keep]), report
+
+
+def _reference_rows(path, header):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = next(reader, None)
+                if first is None:
+                    raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
+                if tuple(x.strip() for x in first) != header:
+                    raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != 2:
+                        raise ValueError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+                    yield reader.line_num, (row[0].strip(), row[1].strip())
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# ids that need quoting (a comma, a quote, a line end inside) or the csv route
+# (a space inside or a no-break space that strip() removes), a non-ASCII letter,
+# and one past the low field limit used below
+_PLAIN_IDS = ["P0", "P1", "P2", "P3", "P4", "P5", "A_6", "Ü7", "LONGLONGID8", "\u00a0P9"]
+_IDS = _PLAIN_IDS + ["Q,10", "R\n11", "S\r\n12", 'T"13', "U 14"]
+_ENTRY_AGES = ["", "", "24", "30", "45", "17", "18", "60", "150", "+24", "-3", "024"]
+_CLAIM_AGES = [str(a) for a in range(15, 80, 7)] + ["+40", "-1", "040", "150"]
+_BAD_AGES = ["abc", "2_4", "٢٤", "２４", "1.5", "+", "9" * 40, "99999999999999999999"]
+_FAULTS = ["ragged", "ragged pair", "bad age", "over age", "duplicate", "unknown", "whitespace line"]
+
+
+def _write_field(draw, text, messy):
+    if any(ch in text for ch in ',"\r\n') or (messy and draw(st.integers(0, 5)) == 0):
+        return '"' + text.replace('"', '""') + '"'
+    if messy:
+        return draw(st.sampled_from(["", "", " ", "\t"])) + text + draw(st.sampled_from(["", "", " "]))
+    return text
+
+
+def _fault_row(draw, fault, ids, policies):
+    """The raw text of one faulty record; an age fault in the policies file gets a fresh id."""
+    owner = "N" if policies or not ids else draw(st.sampled_from(ids))
+    return {
+        "ragged": draw(st.sampled_from(["P0", "P0,30,31", ",", ",,"])),
+        "bad age": f"{owner},{draw(st.sampled_from(_BAD_AGES))}",
+        "over age": f"{owner},{draw(st.sampled_from(['151', '1000', '99999999999999999999']))}",
+        "duplicate": f"{ids[0] if ids else 'P0'},30",
+        "unknown": "ZZ,30",
+        "whitespace line": draw(st.sampled_from([" ", "\t", "  "])),
+    }[fault]
+
+
+@st.composite
+def _corpora(draw):
+    """(policies text, claims text) with up to two faults.
+
+    A plain corpus is what ``csv.writer`` writes, with one line end; a messy
+    one mixes line ends, blank lines, padded and quoted fields.
+    """
+    messy = draw(st.booleans())
+    ids = draw(st.lists(st.sampled_from(_IDS if messy else _PLAIN_IDS), unique=True, max_size=8))
+    plain_ids = [pid for pid in ids if pid in _PLAIN_IDS]
+    policies = [
+        _write_field(draw, pid, messy) + "," + _write_field(draw, draw(st.sampled_from(_ENTRY_AGES)), messy)
+        for pid in ids
+    ]
+    claim_rows = [
+        _write_field(draw, draw(st.sampled_from(ids)), messy)
+        + "," + _write_field(draw, draw(st.sampled_from(_CLAIM_AGES)), messy)
+        for _ in range(draw(st.integers(0, 30) if ids else st.just(0)))
+    ]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        rows = {"duplicate": policies, "unknown": claim_rows}.get(fault) or draw(st.sampled_from([policies, claim_rows]))
+        at = draw(st.integers(0, len(rows)))
+        if fault == "ragged pair":  # two wrong rows whose commas add up to two right ones
+            rows[at:at] = ["P0", "30,P1,31"]
+        else:
+            rows.insert(at, _fault_row(draw, fault, plain_ids, rows is policies))
+    end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    texts = []
+    for header, rows in (("policy_id,entry_age", policies), ("policy_id,claim_age", claim_rows)):
+        lines = [header]
+        for row in rows:
+            lines.extend([""] * (draw(st.sampled_from([0, 0, 0, 1, 2])) if messy else 0))
+            lines.append(row)
+        ends = [draw(st.sampled_from(["\r\n", "\n", "\r"])) if messy else end for _ in lines]
+        if draw(st.booleans()):
+            ends[-1] = ""
+        texts.append(draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, ends)))
+    return texts
+
+
+def _outcome(read, policies, claims_file, cleaning):
+    try:
+        records, report = read(policies, claims_file, cleaning)
+    except ValueError as exc:
+        return str(exc)
+    columns = (records.entry_age, records.claim_policy, records.claim_age)
+    return records.policy_ids, [col.tolist() for col in columns], report
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    corpus=_corpora(),
+    block=st.integers(8, 200),
+    limit=st.sampled_from([None, None, 12]),
+    zero_duration=st.sampled_from(["bucket1", "discard"]),
+)
+def test_block_parse_matches_the_per_row_reference(tmp_path, corpus, block, limit, zero_duration):
+    # tiny blocks put records, faults and quoted line ends in later blocks and on block edges
+    paths = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    for path, text in zip(paths, corpus):
+        path.write_text(text, encoding="utf-8", newline="")
+    cleaning = CleaningConfig(zero_duration=zero_duration)
+    default_limit = csv.field_size_limit()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(claims, "_BLOCK", block)
+        try:
+            csv.field_size_limit(limit or default_limit)
+            assert _outcome(ingest, *paths, cleaning) == _outcome(_reference_ingest, *paths, cleaning)
+        finally:
+            csv.field_size_limit(default_limit)

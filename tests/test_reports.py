@@ -1,9 +1,9 @@
 """Every TSV writer against a byte-exact oracle of its former per-writer formatting.
 
 Each oracle below builds the file text the way the writer did before all of
-them went through ``grids.write_table``: one ``format(x, ".17g")`` call per
-float cell, f-strings for the ints, and per-row branches where the writer had
-them.
+them went through ``grids.write_table``: ``format(x, ".17g")`` for each float
+(a matrix formats each distinct bit pattern once), f-strings for the ints, and
+per-row branches where the writer had them.
 """
 
 import tracemalloc
@@ -35,19 +35,31 @@ def _text(lines):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _oracle_matrix(matrix):
+def _cells(matrix):
+    """``_fmt17`` of every cell of ``matrix``, formatting each distinct bit pattern once."""
+    values = np.ascontiguousarray(matrix.values, np.float64)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([_fmt17(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[where].reshape(matrix.values.shape)
+
+
+def _oracle_matrix(matrix, cells=None):
+    """The matrix TSV; ``cells`` may pass in the ``_cells`` of ``matrix``."""
     g = matrix.grid
     lines = [f"# grid origin={_fmt17(g.origin)} h={_fmt17(g.step_h)} n={g.n_points} kind={matrix.kind}"]
+    cells = _cells(matrix) if cells is None else cells
     for i in range(g.n_points):
-        lines.append("\t".join(_fmt17(x) for x in matrix.values[i, i:]))
+        lines.append("\t".join(cells[i, i:].tolist()))
     return _text(lines)
 
 
-def _oracle_age_mean(H):
+def _oracle_age_mean(H, cells=None):
+    """The age table; ``cells`` may pass in the ``_cells`` of ``H``."""
     ages = [_fmt17(a) for a in H.grid.times()]
     lines = ["attained_age\t" + "\t".join(ages)]
-    for age, column in zip(ages, H.values.T):
-        lines.append(age + "\t" + "\t".join(map(_fmt17, column.tolist())))
+    cells = _cells(H) if cells is None else cells
+    for age, column in zip(ages, cells.T.tolist()):
+        lines.append(age + "\t" + "\t".join(column))
     return _text(lines)
 
 
