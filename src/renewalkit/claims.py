@@ -8,25 +8,24 @@ the pooling cap (default 60) are compiled together.
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
 (policy, age); every count table is an ``np.bincount`` over its columns.
 
-:func:`ingest` reads each CSV in blocks of about 64 KiB of whole lines.  A
+:func:`ingest` reads each CSV in blocks of about 8 KiB of whole lines.  A
 block of plain ``id,age`` lines is split on its commas in one pass, its ids
 go through the policy index in one ``map`` and its ages through one
 ``np.fromiter``, and the results are appended to flat ``array("q")``
-columns.  A block with a blank, padded or ragged line, or longer than the
-csv field limit, goes through ``csv`` instead, and so does the rest of a
-file from its first quote on.  A block that fails any check is walked
-again row by row, so each error names the file and the physical line of
-the first failing record, whichever check it fails.
+columns.  From the first block that is not plain (a blank, padded, quoted
+or ragged line, mixed line ends, or more than the csv field limit), ``csv``
+reads the rest of the file.  A block that fails any check is walked again
+row by row, so each error names the file and the physical line of the
+first failing record, whichever check it fails.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from array import array
-from collections.abc import Generator, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +58,9 @@ MAX_AGE = 150
 
 TRANSITIONS = ("entry-to-first", "first-to-second", "second-to-third", "merged")
 
-#: characters of whole CSV lines read per block
-_BLOCK = 1 << 16
+#: characters of whole CSV lines read per block: as fast as 64 KiB, and a block's
+#: field strings fit in the free space of the small-object heap, not in new arenas
+_BLOCK = 1 << 13
 
 #: the UTF-8 bytes a plain field may hold: printable ASCII but space, quote and
 #: comma, and every byte of a non-ASCII character (``_split`` tests those apart)
@@ -218,7 +218,6 @@ def ingest(
     p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
     order = np.lexsort((c, p))
     p, c = p[order], c[order]
-    del owners, ages, order  # the unsorted columns, before the copies below
     keep = c >= entry[p]
     if cleaning.zero_duration == "discard":
         keep &= c > entry[p]
@@ -232,10 +231,14 @@ def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
     """(physical line numbers, ids, ages) per block of records after the header.
 
     The file is UTF-8, with or without a byte-order mark.  It is read in
-    blocks of about ``_BLOCK`` characters of whole lines.  A block of plain
-    ``id,age`` lines (see :func:`_split`) is split in one pass; any other
-    block goes through ``csv``, and from a block holding a quote on, so does
-    the rest of the file, since a quoted field may run into the next block.
+    blocks of about ``_BLOCK`` characters of whole lines, and each block of
+    plain ``id,age`` lines (see :func:`_split`) is split in one pass.  From
+    the first block that is not plain or does not decode, ``csv`` reads the
+    rest of the file from a fresh handle, since a quoted field may run on
+    into the next block and ``readlines`` loses the lines of a block it
+    cannot decode.  Both handles decode the file in the same chunks as one
+    read by ``csv`` alone, so an undecodable byte is found at the same line
+    and position.
     Fields are stripped, blank lines are skipped but counted, and a record
     whose quoted field spans lines is numbered by its last line.  A ragged
     row, a ``csv`` error or an undecodable byte is raised only after the
@@ -256,22 +259,17 @@ def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
             while True:
                 try:
                     text = "".join(fh.readlines(_BLOCK))
-                except UnicodeDecodeError:
-                    # the lines this block read before the bad byte are checked first
-                    with open(path, newline="", encoding="utf-8-sig") as again:
-                        yield from _csv_records(path, islice(again, line, None), line)
-                    raise
+                except UnicodeDecodeError:  # the lines read before the bad byte are lost
+                    break
                 if not text:
                     return
                 fields = _split(text, limit)
-                if fields is not None:
-                    yield range(line + 1, line + 1 + len(fields[0])), *fields
-                    line += len(fields[0])
-                elif '"' in text:
-                    yield from _csv_records(path, chain(io.StringIO(text, newline=""), fh), line)
-                    return
-                else:
-                    line += yield from _csv_records(path, io.StringIO(text, newline=""), line)
+                if fields is None:
+                    break
+                yield range(line + 1, line + 1 + len(fields[0])), *fields
+                line += len(fields[0])
+        with open(path, newline="", encoding="utf-8-sig") as again:
+            yield from _csv_records(path, islice(again, line, None), line)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -279,6 +277,7 @@ def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
 def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
     """The ids and ages of a block of plain ``id,age`` lines, or None if it needs ``csv``.
 
+    A plain block ends all its lines alike, with LF, CR LF or CR.
     A plain line holds one comma and otherwise only printable characters
     other than space and quote, so a blank or whitespace-only line is not
     plain, and plain lines split on the comma as ``csv`` and ``str.strip``
@@ -287,25 +286,23 @@ def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
     """
     if len(text) > limit:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.endswith("\n"):
-        text += "\n"  # the last line of the file
-    if text.encode().translate(None, _FIELD_BYTES) != b",\n" * text.count("\n"):
+    end = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
+    last = not text.endswith(end)  # the last line of the file may have no line end
+    if text.encode().translate(None, _FIELD_BYTES) != (b"," + end.encode()) * text.count(end) + b"," * last:
         return None
-    flat = text.replace("\n", ",")
-    if not (flat.isascii() or flat.isprintable()):
+    if not (text.isascii() or text.replace(end, "").isprintable()):
         return None
-    fields = flat.split(",")
-    return fields[0:-1:2], fields[1::2]
+    fields = text.replace(end, ",").split(",")
+    if not last:
+        fields.pop()  # after the final line end
+    return fields[0::2], fields[1::2]
 
 
-def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Generator[_Block, None, int]:
+def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[_Block]:
     """The records ``csv`` reads from ``lines``, which start after physical line ``line``.
 
     Yields (line numbers, ids, ages) in batches of a block's worth of rows,
-    then raises what stopped the reader, if anything, or returns the number
-    of lines it read.
+    then raises what stopped the reader, if anything.
     """
     reader = csv.reader(lines)
     nums: list[int] = []
@@ -332,7 +329,6 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Generator
     yield nums, ids, ages
     if fault is not None:
         raise fault
-    return reader.line_num
 
 
 def _bulk_ages(texts: list[str]) -> np.ndarray | None:

@@ -1,4 +1,4 @@
-"""Random and analytic laws for the self-checks; also used by the test suite."""
+"""Random and analytic laws for the self-checks, and a messy claims corpus; also used by the tests."""
 
 from __future__ import annotations
 
@@ -7,7 +7,17 @@ import numpy as np
 from .grids import TimeGrid, TwoTimeMatrix
 from .solver import homogeneous_lift, lift_duration_function
 
-__all__ = ["geometric_law", "poisson_law", "random_defective_df"]
+__all__ = ["MESSY_CLAIMS", "MESSY_POLICIES", "geometric_law", "poisson_law", "random_defective_df"]
+
+# a hand-written messy corpus: blank lines, blank and padded ages, an under-18
+# and an age-150 policy, same-age, pre-entry and past-cap claims, a quoted id
+MESSY_POLICIES = (
+    'policy_id,entry_age\nP1,23\n\nP2, 30 \nP3,\n"Q,4",25\nP5,16\nP6,150\nP7,61\nP8,  \nP9,40\n'
+)
+MESSY_CLAIMS = (
+    "policy_id,claim_age\nP1,41\nP1,41\nP1,23\nP1,20\n\nP2, 45 \nP3,30\nP3,24\n"
+    '"Q,4",40\n"Q,4",70\nP5,30\nP5,abc\nP6,150\nP7,65\nP7,62\nP9,41\nP9,55\nP9,58\nP2,50\n'
+)
 
 
 def random_defective_df(

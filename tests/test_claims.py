@@ -222,8 +222,10 @@ def test_a_csv_error_names_its_file_and_line(csv_writer, quoted, file):
         assert str(exc.value) == want
 
 
-def test_ingest_checks_the_lines_before_an_undecodable_byte(csv_writer, tmp_path):
-    # the bad byte lies in the same block as line 3 but in a later decoded chunk
+@pytest.mark.parametrize("block", [1 << 16, 1 << 13, 64])
+def test_ingest_checks_the_lines_before_an_undecodable_byte(csv_writer, tmp_path, monkeypatch, block):
+    # the bad byte lies in a later decoded chunk than line 3, in its block or a later one
+    monkeypatch.setattr(claims, "_BLOCK", block)
     p, _ = csv_writer([("A", 24)], [])
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"policy_id,claim_age\nA,30\nA,old\n" + b"A,31\r\n" * 5000 + b"A,\xff\n")
@@ -242,9 +244,9 @@ def test_ingest_checks_the_lines_before_an_undecodable_byte(csv_writer, tmp_path
 @pytest.mark.parametrize("block", [1 << 16, 8], ids=["one-block", "block-per-line"])
 @pytest.mark.parametrize("first_row", ["A,30", "A ,30", '"A",30'], ids=["plain", "padded", "quoted"])
 def test_the_first_failing_line_wins(csv_writer, tmp_path, monkeypatch, first_row, block):
-    # the first data row sends its block through the block parse or the csv
-    # route, or the whole file through the csv route; with a block per line
-    # each fault and the record before it lie in different blocks
+    # the first data row sends the file through the block parse or, padded or
+    # quoted, through the csv route; with a block per line each fault and the
+    # record before it lie in different blocks
     monkeypatch.setattr(claims, "_BLOCK", block)
     p, c = csv_writer([("A", 24), ("B", 30)], [])
     cases = [

@@ -22,7 +22,7 @@ from renewalkit.solver import (
     solve_quadrature,
     solve_series,
 )
-from renewalkit.testing import random_defective_df
+from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES, random_defective_df
 from test_reports import _cells, _oracle_age_mean, _oracle_matrix
 
 
@@ -375,22 +375,11 @@ def test_selftest_fails_under_optimised_python():
     assert "FAIL waiting-time probabilities" in proc.stdout
 
 
-# a hand-written messy corpus: blank lines, blank and padded ages, an under-18
-# and an age-150 policy, same-age, pre-entry and past-cap claims, a quoted id
-_MESSY_POLICIES = (
-    'policy_id,entry_age\nP1,23\n\nP2, 30 \nP3,\n"Q,4",25\nP5,16\nP6,150\nP7,61\nP8,  \nP9,40\n'
-)
-_MESSY_CLAIMS = (
-    "policy_id,claim_age\nP1,41\nP1,41\nP1,23\nP1,20\n\nP2, 45 \nP3,30\nP3,24\n"
-    '"Q,4",40\n"Q,4",70\nP5,30\nP5,abc\nP6,150\nP7,65\nP7,62\nP9,41\nP9,55\nP9,58\nP2,50\n'
-)
-
-
 def _messy_output_digests(tmp_path):
     """sha256 of every file that build-df, report and simulate write from the messy corpus."""
     policies, claims = tmp_path / "policies.csv", tmp_path / "claims.csv"
-    policies.write_text(_MESSY_POLICIES)
-    claims.write_text(_MESSY_CLAIMS)
+    policies.write_text(MESSY_POLICIES)
+    claims.write_text(MESSY_CLAIMS)
     for mode in ("bucket1", "discard"):
         for cap in ("60", "40"):
             out = tmp_path / f"{mode}-{cap}"

@@ -56,19 +56,19 @@ json.dump(results, sys.stdout)
 
 def write_inputs(where: Path) -> None:
     """The corpora and the fine law every invocation reads, written once for both trees."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import inputs
-    from test_cli import _MESSY_CLAIMS, _MESSY_POLICIES
 
     from renewalkit.grids import write_matrix_tsv
+    from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES
 
     truth = inputs.generating_df(43, 1.0)
     inputs.write_synthetic_corpus(truth, 3000, 5, where / "c3k")
     inputs.write_synthetic_corpus(truth, 15, 1, where / "c15")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
-        (where / name / "policies.csv").write_text(_MESSY_POLICIES + policies)
-        (where / name / "claims.csv").write_text(_MESSY_CLAIMS + claims)
+        (where / name / "policies.csv").write_text(MESSY_POLICIES + policies)
+        (where / name / "claims.csv").write_text(MESSY_CLAIMS + claims)
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
 
 
