@@ -17,8 +17,9 @@ go through the policy index in one ``map`` and its ages through one
 appended to flat ``array("q")`` columns.  From the first block that is not
 plain (a blank, padded, quoted or ragged line, mixed line ends, or more than
 the csv field limit), ``csv`` reads the rest of the file.  A block that
-fails any check is walked again row by row, so each error names the file
-and the physical line of the first failing record, whichever check it fails.
+fails any check or holds any other age text is walked again row by row, so
+each error names the file and the physical line of the first failing
+record, whichever check it fails.
 """
 
 from __future__ import annotations
@@ -342,25 +343,16 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[
 
 
 def _bulk_ages(texts: list[str]) -> np.ndarray | None:
-    """:func:`_parse_age` over a block at once, or None if it would raise for any text.
+    """:func:`_parse_age` over a block of canonical ages, or None if any text is not one.
 
-    Canonical ages are looked up in a table; any other text goes through
-    ``int``, which alone also reads ``2_4`` and non-ASCII digits such as
-    ``٢٤``, so the joined texts are tested once for both.
+    Every text must be ``str(i)`` for some i in 0..``MAX_AGE``; a block with any
+    other age (a sign, a leading zero, or one that would raise) is walked row by
+    row through :func:`_parse_age`.
     """
     try:
         return np.fromiter(map(_AGE_OF.__getitem__, texts), np.int64, len(texts))
     except KeyError:
-        pass
-    joined = "".join(texts)
-    if "_" in joined or not joined.isascii():
         return None
-    try:
-        ages = np.fromiter(map(int, texts), np.int64, len(texts))
-    except (ValueError, OverflowError):
-        return None
-    # no clamp below BASE_AGE: such an age rejects its policy or predates its entry
-    return None if ages.max(initial=MAX_AGE) > MAX_AGE else ages
 
 
 def _parse_age(text: str, path: str | Path, lineno: int) -> int:
