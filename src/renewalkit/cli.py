@@ -22,6 +22,7 @@ from .claims import (
     no_claim_table,
     occurrence_to_nh_df,
 )
+from .convolve import RULE_WEIGHTS
 from .grids import read_matrix_tsv, write_matrix_tsv
 from .reports import (
     write_age_mean_report,
@@ -33,7 +34,7 @@ from .reports import (
 )
 from .selftest import run_selftest
 from .simulate import SimConfig, estimate_renewal_function
-from .solver import QUADRATURE_TAGS, SolverMethod, density_from_differences, solve_discrete, solve_quadrature
+from .solver import SolverMethod, density_from_differences, solve_discrete, solve_quadrature
 
 __all__ = ["main"]
 
@@ -125,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--df", required=True, help="distribution matrix TSV")
     p.add_argument(
         "--method",
-        choices=("exact", *QUADRATURE_TAGS),
+        choices=("exact", *RULE_WEIGHTS),
         default="exact",
     )
     p.add_argument("--out", required=True, help="output path for the renewal matrix TSV")

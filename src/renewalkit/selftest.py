@@ -18,9 +18,10 @@ import numpy as np
 
 from . import golden
 from .claims import ClaimRecords, DurationHistogram, histogram_to_df, no_claim_table
+from .convolve import RULE_WEIGHTS
 from .grids import TwoTimeMatrix
 from .simulate import SimConfig, estimate_renewal_function
-from .solver import QUADRATURE_TAGS, SolverMethod, counting_pmf, solve_discrete, solve_quadrature, solve_series
+from .solver import SolverMethod, counting_pmf, solve_discrete, solve_quadrature, solve_series
 from .testing import geometric_law, poisson_law, random_defective_df
 
 __all__ = ["check_geometric", "check_no_claim_probs", "check_oracle_triangle", "check_poisson",
@@ -84,7 +85,7 @@ def check_no_claim_probs() -> dict[str, float]:
 def check_poisson(h: float) -> dict[str, float]:
     """H(0, 5) of the rate-1 Poisson process lies in [4.9, 5.1] for every rule at step h."""
     F, f = poisson_law(1.0, 5.0, h)
-    tops = {tag: solve_quadrature(f, F, SolverMethod(tag)).at(0, F.n_points - 1) for tag in QUADRATURE_TAGS}
+    tops = {tag: solve_quadrature(f, F, SolverMethod(tag)).at(0, F.n_points - 1) for tag in RULE_WEIGHTS}
     for tag, top in tops.items():
         _require(4.9 <= top <= 5.1, f"{tag}: H(0,5) = {top}")
     return tops
@@ -134,7 +135,7 @@ _CHECKS = (
     ("no-claim probabilities", check_no_claim_probs,
      "max |prob - published| = {worst:.2e}", "probability columns reproduced"),
     ("poisson renewal function", lambda: check_poisson(0.01),
-     "  ".join(f"{tag}={{{tag}:.5f}}" for tag in QUADRATURE_TAGS), "H(0,5) within [4.9, 5.1] for all four rules"),
+     "  ".join(f"{tag}={{{tag}:.5f}}" for tag in RULE_WEIGHTS), "H(0,5) within [4.9, 5.1] for all four rules"),
     ("geometric renewal function", lambda: check_geometric(0.25, 40, 8),
      "|H - pt| <= {H:.2e}, pmf vs binomial <= {pmf:.2e}", "H(0,t) = 0.25t and N(8) ~ Binomial(8, 0.25)"),
     ("oracle triangle", lambda: check_oracle_triangle(_oracle_cases(), 20_000),

@@ -2,13 +2,27 @@
 
 Used as an independent oracle for the solvers: simulate many paths, count
 renewals, compare the empirical mean with the solved renewal function.
-Sampling is plain inverse transform on the cumulative rows of F: a draw u
-on (0, 1] at renewal age s leads to the first t with F(s, t) >= u.  A path
+Sampling is plain inverse transform on the cumulative rows of F.  The
+stepping rule: a draw u on (0, 1] at renewal age s leads to the first t with
+F(s, t) >= u, found by a lower-bound search over the whole row s.  A path
 ends once t passes the horizon, or the grid when u exceeds a defective row.
+
+The rule has two implementations.  ``sample_path`` bisects the row tuples of
+``TwoTimeMatrix.rows``, one draw per step; ``estimate_renewal_function``
+runs ``ndarray.searchsorted(side="left")`` on a row for all live paths at
+that age at once.  ``bisect_left`` makes the same probes as a one-key
+``searchsorted``, so it takes the same step even on a row that dips within
+the validation slack.  In ``tests/test_simulate.py``,
+``test_sample_path_matches_the_searchsorted_reference`` and the two tests
+after it hold ``sample_path`` to a ``searchsorted`` step, path by path and
+draw by draw, and
+``test_estimator_counts_the_paths_that_sample_path_draws_from_its_uniforms``
+holds the estimator to ``sample_path``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +77,6 @@ def _check_inputs(F: TwoTimeMatrix, start_idx: int, horizon_idx: int) -> None:
         raise ValueError(f"window ({start_idx}, {horizon_idx}) outside the grid: need 0 <= start <= horizon < {n}")
 
 
-def _step(row: np.ndarray, u):
-    """The first t with row[t] >= u; len(row) when u is past the row total."""
-    return row.searchsorted(u, side="left")
-
-
 def sample_path(
     F: TwoTimeMatrix, start_idx: int, horizon_idx: int, rng: np.random.Generator
 ) -> list[int]:
@@ -77,11 +86,12 @@ def sample_path(
     uniform draw on (0, 1].
     """
     _check_inputs(F, start_idx, horizon_idx)
-    vals = F.values
+    rows, random = F.rows, rng.random
     path: list[int] = []
     cur = start_idx
     while True:
-        nxt = int(_step(vals[cur], 1.0 - rng.random()))
+        # len(row) when the draw is past a defective row's total
+        nxt = bisect_left(rows[cur], 1.0 - random())
         if nxt > horizon_idx:
             return path
         path.append(nxt)
@@ -94,10 +104,10 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     Path i steps with row i of the seed's uniforms read as an (n_paths, span)
     block; it makes at most span - 1 renewals, so its last draw ends it.  The
     block is drawn and stepped in chunks of about ``_CHUNK_DRAWS`` uniforms,
-    keeping only integer sums per t: renewals, and the growth 2k - 1 of a
-    path's squared count at its k-th renewal.  So memory is bounded by the
-    chunk, a seed fixes the result whatever the chunk size, and the standard
-    errors come from exact sums.
+    each drawn into the same buffer, keeping only integer sums per t:
+    renewals, and the growth 2k - 1 of a path's squared count at its k-th
+    renewal.  So memory is bounded by one chunk, a seed fixes the result
+    whatever the chunk size, and the standard errors come from exact sums.
     """
     start, horizon, n_paths = cfg.start_idx, cfg.horizon_idx, cfg.n_paths
     _check_inputs(F, start, horizon)
@@ -106,20 +116,22 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     hits = np.zeros(span, dtype=np.int64)
     sq_hits = np.zeros(span, dtype=np.int64)
     reached = np.array([n_paths] + [0] * span, dtype=np.int64)  # paths with >= k renewals
-    chunk = max(1, _CHUNK_DRAWS // span)
+    chunk = min(n_paths, max(1, _CHUNK_DRAWS // span))
+    vals = F.values
+    # refilled by each chunk, so that no two draw blocks are ever live at once
+    block = np.empty((chunk, span))
     for first in range(0, n_paths, chunk):
-        draws = rng.random((min(chunk, n_paths - first), span))
-        np.subtract(1.0, draws, out=draws)  # uniform on (0, 1]
+        draws = rng.random(out=block[: min(chunk, n_paths - first)])
         rows = np.arange(len(draws))
         cur = np.full(len(draws), start)
         for step in range(span):
             # group the live paths by renewal age: one search per distinct age
             order = np.argsort(cur)
             rows, cur = rows[order], cur[order]
-            u = draws[rows, step]
+            u = 1.0 - draws[rows, step]  # uniform on (0, 1]
             edges = [0, *(np.flatnonzero(cur[1:] != cur[:-1]) + 1), len(cur)]
             for a, b in zip(edges, edges[1:]):
-                cur[a:b] = _step(F.values[cur[a]], u[a:b])
+                cur[a:b] = vals[cur[a]].searchsorted(u[a:b], side="left")
             go = cur <= horizon
             rows, cur = rows[go], cur[go]
             renewed = np.bincount(cur - start, minlength=span)

@@ -38,8 +38,6 @@ __all__ = [
     "solve_series",
 ]
 
-QUADRATURE_TAGS = tuple(RULE_WEIGHTS)
-
 #: Below this, 1 - w0 * f(u, u) counts as singular: the step is too large
 #: relative to the density at zero lag.
 SINGULAR_TOL = 1e-9
@@ -52,8 +50,8 @@ class SolverMethod:
     tag: str
 
     def __post_init__(self) -> None:
-        if self.tag not in QUADRATURE_TAGS:
-            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {QUADRATURE_TAGS}")
+        if self.tag not in RULE_WEIGHTS:
+            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {tuple(RULE_WEIGHTS)}")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ import renewalkit
 from renewalkit import golden, grids, selftest
 from renewalkit.claims import NoClaimRow, no_claim_table
 from renewalkit.cli import main
+from renewalkit.convolve import RULE_WEIGHTS
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
 from renewalkit.solver import (
-    QUADRATURE_TAGS,
     CountingPmf,
     SeriesResult,
     counting_pmf,
@@ -162,7 +162,7 @@ def test_solve_and_report_write_the_oracle_bytes(tmp_path, n):
     F = random_defective_df(np.random.default_rng(n), n, origin=18.0, step_h=0.1)
     df_path = tmp_path / "F.tsv"
     write_matrix_tsv(F, df_path)
-    for method in ("exact", *QUADRATURE_TAGS):
+    for method in ("exact", *RULE_WEIGHTS):
         out, ages, again = (tmp_path / f"{method}.{name}.tsv" for name in ("H", "ages", "report"))
         assert main(["solve", "--df", str(df_path), "--method", method,
                      "--out", str(out), "--report", str(ages)]) == 0
@@ -184,7 +184,7 @@ def test_solve_and_report_format_the_matrix_once(tmp_path, monkeypatch):
         init(self, matrix)
 
     monkeypatch.setattr(grids.FormattedTriangle, "__init__", counted)
-    for method in ("exact", *QUADRATURE_TAGS):
+    for method in ("exact", *RULE_WEIGHTS):
         out = tmp_path / f"{method}.tsv"
         built.clear()
         assert main(["solve", "--df", str(df_path), "--method", method, "--out", str(out)]) == 0

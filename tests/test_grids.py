@@ -39,6 +39,9 @@ def test_matrix_zeroes_lower_triangle_and_is_immutable():
     assert m.values[0, 2] == 7.0
     with pytest.raises(ValueError):
         m.values[0, 1] = 1.0
+    # the sampler's row tuples: immutable too, and built once
+    assert m.rows == ((7.0, 7.0, 7.0), (0.0, 7.0, 7.0), (0.0, 0.0, 7.0))
+    assert m.rows is m.rows
 
 
 def test_lower_triangle_query_is_a_contract_violation():

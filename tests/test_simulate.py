@@ -49,6 +49,43 @@ def _reference_estimate(F, cfg):
     return means, std_errs, np.bincount(totals_per_t[:, -1]) / cfg.n_paths
 
 
+def _reference_sample_path(F, start_idx, horizon_idx, rng):
+    """The earlier sampler: one ``ndarray.searchsorted(side="left")`` per step.
+
+    Kept as the oracle for ``sample_path``, which bisects row tuples instead.
+    """
+    vals = F.values
+    path, cur = [], start_idx
+    while True:
+        nxt = int(vals[cur].searchsorted(1.0 - rng.random(), side="left"))
+        if nxt > horizon_idx:
+            return path
+        path.append(nxt)
+        cur = nxt
+
+
+class _Draws:
+    """Stands in for a generator: ``random()`` returns the given numbers in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.taken = 0
+
+    def random(self):
+        self.taken += 1
+        return self.values[self.taken - 1]
+
+
+def _dipped(F, rng):
+    """F with a few cells per row set just below their left neighbour, inside the validation slack."""
+    values = F.values.copy()
+    n = F.n_points
+    for s in range(n - 2):
+        for t in rng.integers(s + 2, n, size=3):
+            values[s, t] = values[s, t - 1] - rng.uniform(1e-10, 9e-10)
+    return TwoTimeMatrix(F.grid, values, "distribution")
+
+
 def _outputs(est):
     return est.means, est.std_errs, est.terminal_pmf
 
@@ -90,6 +127,89 @@ def test_paths_are_strictly_increasing_and_in_window():
         path = sample_path(F, start, 11, rng)
         assert all(a < b for a, b in zip(path, path[1:]))
         assert all(start < idx <= 11 for idx in path)
+
+
+def test_sample_path_matches_the_searchsorted_reference():
+    rng = np.random.default_rng(101)
+    for case in range(12):
+        n = int(rng.integers(2, 40))
+        F = random_defective_df(rng, n)
+        if case % 2:
+            F = _dipped(F, rng)
+        seed = int(rng.integers(2**62))
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            start = int(rng.integers(0, n))
+            horizon = int(rng.integers(start, n))
+            assert sample_path(F, start, horizon, mine) == _reference_sample_path(F, start, horizon, ref)
+            # the same state after every call: one draw per step, no more
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_path_steps_to_the_first_cell_at_or_above_the_draw():
+    # dyadic rows, so each u below is exact: ties, a plateau, full and defective rows
+    values = [
+        [0, 0.25, 0.5, 0.5, 0.75, 0.75],  # defective: total 0.75
+        [0, 0, 0.5, 1, 1, 1],
+        [0, 0, 0, 0.25, 0.5, 1],
+        [0, 0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 0.5],  # defective: total 0.5
+        [0, 0, 0, 0, 0, 0],
+    ]
+    F = TwoTimeMatrix(TimeGrid(0.0, 1.0, 6), np.array(values, dtype=float), "distribution")
+    cases = [  # (u drawn at each step, path, draws taken)
+        ([0.5, 1.0, 1.0], [2, 5], 3),  # a tie goes to the first of the plateau
+        ([1.0], [], 1),  # u = 1.0 is past the defective total
+        ([0.75, 0.5, 0.5], [4, 5], 3),
+        ([0.25, 1.0, 0.25, 0.75], [1, 3, 4], 4),  # 0.75 is past row 4's total
+    ]
+    for us, want, taken in cases:
+        for sampler in (sample_path, _reference_sample_path):
+            draws = _Draws(1.0 - u for u in us)
+            assert sampler(F, 0, 5, draws) == want
+            assert draws.taken == taken
+
+
+def test_sample_path_matches_the_reference_on_draws_at_and_beside_every_cell():
+    # u equal to each cell, one ulp either side of it, 1.0, and past each row total,
+    # on rows that dip within the slack: the two searches must probe alike
+    rng = np.random.default_rng(107)
+    for _ in range(6):
+        n = int(rng.integers(2, 16))
+        F = _dipped(random_defective_df(rng, n), rng)
+        targets = {1.0}
+        for v in F.values[np.triu_indices(n, k=1)]:
+            targets |= {v, np.nextafter(v, 0.0), np.nextafter(v, 2.0)}
+        us = [u for u in targets if 0.0 < u <= 1.0]
+        rng.shuffle(us)
+        mine, ref = _Draws(1.0 - u for u in us), _Draws(1.0 - u for u in us)
+        while len(us) - mine.taken > n:
+            start = int(rng.integers(0, n))
+            horizon = int(rng.integers(start, n))
+            assert sample_path(F, start, horizon, mine) == _reference_sample_path(F, start, horizon, ref)
+            assert mine.taken == ref.taken
+
+
+def test_estimator_counts_the_paths_that_sample_path_draws_from_its_uniforms():
+    # path i of the estimator steps with row i of the seed's (n_paths, span) block
+    rng = np.random.default_rng(109)
+    for _ in range(6):
+        n = int(rng.integers(2, 30))
+        F = random_defective_df(rng, n)
+        start = int(rng.integers(0, n))
+        horizon = int(rng.integers(start, n))
+        cfg = SimConfig(300, int(rng.integers(2**62)), start, horizon)
+        span = horizon - start + 1
+        block = np.random.default_rng(cfg.seed).random((cfg.n_paths, span))
+        hits = np.zeros(span, dtype=np.int64)
+        counts = []
+        for row in block:
+            path = sample_path(F, start, horizon, _Draws(row))
+            hits[np.array(path, dtype=np.int64) - start] += 1
+            counts.append(len(path))
+        est = estimate_renewal_function(F, cfg)
+        assert np.array_equal(est.means, np.cumsum(hits) / cfg.n_paths)
+        assert np.array_equal(est.terminal_pmf, np.bincount(counts) / cfg.n_paths)
 
 
 def test_inter_arrival_times_fit_the_geometric_law():
@@ -252,4 +372,7 @@ def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak(40_000) <= 2 * peak(4_000)
+    big = peak(40_000)
+    assert big <= 2 * peak(4_000)
+    # one (256, 30) draw block live at a time: each chunk refills the same buffer
+    assert big <= 1.6 * 256 * 30 * 8

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewalkit.convolve import increments_from_df, nfold_convolution
+from renewalkit.convolve import RULE_WEIGHTS, increments_from_df, nfold_convolution
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv
 from renewalkit.solver import (
-    QUADRATURE_TAGS,
     SolverMethod,
     counting_pmf,
     density_from_differences,
@@ -180,7 +179,7 @@ def _reference_solve(K, F, h, tag):
     return H
 
 
-@pytest.mark.parametrize("tag", ("exact-discrete",) + QUADRATURE_TAGS)
+@pytest.mark.parametrize("tag", ("exact-discrete", *RULE_WEIGHTS))
 def test_every_rule_matches_a_cell_by_cell_reference(tag):
     rng = np.random.default_rng(53)
     for n in (12, 13):
@@ -369,5 +368,5 @@ def test_a_row_dipping_within_the_slack_solves_with_every_method(tmp_path):
     assert H.at(0, 5) == 1.0  # one renewal at t = 1, none after it
     assert np.abs(solve_series(F).renewal.values - H.values).max() <= 1e-10
     f = density_from_differences(F)
-    solved = {tag: solve_quadrature(f, F, SolverMethod(tag)).values for tag in QUADRATURE_TAGS}
+    solved = {tag: solve_quadrature(f, F, SolverMethod(tag)).values for tag in RULE_WEIGHTS}
     assert np.abs(solved["rect-right"] - H.values).max() <= 1e-12  # the exact solve at h = 1
