@@ -6,9 +6,19 @@ integer completed years, age 18 is grid index 0, and entry ages at or past
 the pooling cap (default 60) are compiled together.
 
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
-(policy, age) with one stable sort, whose cost follows the input order: it is
-least when each policy's claims are adjacent, as the synthetic corpora write
-them.  Every count table is an ``np.bincount`` over the columns.
+(policy, age) with one in-place stable sort of a one-key buffer, whose cost
+follows the input order: it is least when each policy's claims are adjacent,
+as the synthetic corpora write them.  Every count table sums the
+``np.bincount`` of each block of claims.
+
+Past the two claim columns themselves, the working memory of cleaning,
+checking and counting is set by one block of ``_CLAIM_BLOCK`` claims, not by
+the corpus: the cleaner compacts the kept claims block by block into the
+buffers it read them into, the record checks run block by block, and the
+count tables step through blocks of whole policies.  The stable sort's merge
+buffer is the exception: it is small when the input is nearly in order, as
+the synthetic corpora are, and grows towards half the key column when it is
+not.
 
 :func:`ingest` reads each CSV in blocks of about 8 KiB of whole lines.  A
 block of plain ``id,age`` lines is split on its commas in one pass, its ids
@@ -28,7 +38,7 @@ import csv
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from itertools import compress, islice, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +84,12 @@ _AGE_OF = {str(i): i for i in range(MAX_AGE + 1)}
 
 #: characters of an age echoed in its error message
 _ECHO = 32
+
+#: claims per block in the cleaner, the record checks and the count tables, whose
+#: temporaries are then a few block-long arrays whatever the corpus size; an int64
+#: block is 64 KiB, under glibc's 128 KiB mmap threshold, so the blocks reuse freed heap
+#: chunks (blocks of 2**14 and 2**15 left the later simulate peak 0.3-0.5 MB higher)
+_CLAIM_BLOCK = 1 << 13
 
 #: the physical line numbers, ids and ages of a block of records
 _Block = tuple[Sequence[int], list[str], list[str]]
@@ -127,13 +143,22 @@ class ClaimRecords:
         entry, p, c = self.entry_age, self.claim_policy, self.claim_age
         if len(entry) != len(self.policy_ids) or len(p) != len(c):
             raise ValueError("each policy column and each claim column must have one length")
-        if np.any((p < 0) | (p >= len(entry))):
+        # each check runs over blocks that overlap by one claim, so that every adjacent pair is
+        # in a block; the checks keep their order, so a column with several faults fails as a whole
+        ends = [(lo, lo + _CLAIM_BLOCK + 1) for lo in range(0, len(p), _CLAIM_BLOCK)]
+        blocks = [(p[lo:hi], c[lo:hi]) for lo, hi in ends]
+        if any(np.any((bp < 0) | (bp >= len(entry))) for bp, _ in blocks):
             raise ValueError(f"claim_policy must index the {len(entry)} policies")
-        step = np.diff(p)
-        if np.any((step < 0) | ((step == 0) & (np.diff(c) < 0))):
+        if any(_unsorted(bp, bc) for bp, bc in blocks):
             raise ValueError("claims must be sorted by (policy, age)")
-        if np.any(entry < BASE_AGE) or np.any(c < entry[p]):
+        if np.any(entry < BASE_AGE) or any(np.any(bc < entry[bp]) for bp, bc in blocks):
             raise ValueError(f"entry ages must be >= {BASE_AGE} and no claim may predate its entry")
+
+
+def _unsorted(p: np.ndarray, c: np.ndarray) -> bool:
+    """Whether any adjacent pair of claims is out of (policy, age) order."""
+    step = np.diff(p)
+    return bool(np.any((step < 0) | ((step == 0) & (np.diff(c) < 0))))
 
 
 @dataclass
@@ -222,20 +247,31 @@ def ingest(
                 ages.append(_parse_age(text, claims_file, lineno))
 
     entry = np.asarray(entries, dtype=np.int64)
-    # each claim as one key, policy * (MAX_AGE + 1) + age; ages below BASE_AGE clamp as
-    # in _parse_age, since such claims predate their entry
+    # each claim as one key, policy * (MAX_AGE + 1) + age, in the buffers it was read into;
+    # ages below BASE_AGE clamp as in _parse_age, since such claims predate their entry
     p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
     p *= MAX_AGE + 1
     p += np.maximum(c, BASE_AGE - 1, out=c)
-    p = p[np.argsort(p, kind="stable")]  # fastest when each policy's claims are adjacent
+    p.sort(kind="stable")  # fastest when each policy's claims are adjacent
     np.divmod(p, MAX_AGE + 1, out=(p, c))
-    keep = c >= entry[p]
-    if cleaning.zero_duration == "discard":
-        keep &= c > entry[p]
-        keep[1:] &= (p[1:] != p[:-1]) | (c[1:] != c[:-1])
-    report.claims_retained = int(keep.sum())
+    # compact the kept claims block by block to the front of the same buffers; kept <= lo,
+    # so the claim before the block, which a discard compares with, has not been moved
+    kept = 0
+    for lo in range(0, len(p), _CLAIM_BLOCK):
+        hi = min(lo + _CLAIM_BLOCK, len(p))
+        if cleaning.zero_duration == "discard":
+            keep = c[lo:hi] > entry[p[lo:hi]]
+            at = max(lo - 1, 0)  # not the second of a same-age pair
+            keep[at + 1 - lo :] &= (p[at + 1 : hi] != p[at : hi - 1]) | (c[at + 1 : hi] != c[at : hi - 1])
+        else:
+            keep = c[lo:hi] >= entry[p[lo:hi]]
+        n = int(np.count_nonzero(keep))
+        p[kept : kept + n] = p[lo:hi][keep]
+        c[kept : kept + n] = c[lo:hi][keep]
+        kept += n
+    report.claims_retained = kept
     report.claims_discarded = report.claims_read - report.claims_retained
-    return ClaimRecords(tuple(ids), entry, p[keep], c[keep]), report
+    return ClaimRecords(tuple(ids), entry, p[:kept], c[:kept]), report
 
 
 def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
@@ -403,31 +439,43 @@ class DurationHistogram:
         return int(self.counts.sum())
 
 
-def _claim_steps(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per claim: its rank within the policy, its anchor and its booked age.
+def _claim_steps(records: ClaimRecords) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per claim: its rank within the policy, its anchor and its booked age, a block at a time.
 
     The anchor is the previous claim's age, or the entry age for a first
-    claim.  A claim at its anchor age is booked one year later.
+    claim.  A claim at its anchor age is booked one year later.  Each block
+    holds whole policies: it starts at the first claim of the policy of every
+    ``_CLAIM_BLOCK``-th claim, so it holds about that many claims, and more
+    only where one policy holds more.
     """
     p, c = records.claim_policy, records.claim_age
-    first = np.ones(len(p), dtype=bool)
-    first[1:] = p[1:] != p[:-1]
-    start = np.flatnonzero(first)
-    rank = np.arange(len(p)) - np.repeat(start, np.diff(start, append=len(p)))
-    anchor = np.roll(c, 1)
-    anchor[start] = records.entry_age[p[start]]
-    return rank, anchor, np.maximum(c, anchor + 1)
+    # dict.fromkeys drops the cuts repeated where a policy spans a block (np.unique's
+    # first call adds about 1 MB resident)
+    cuts = dict.fromkeys(np.searchsorted(p, p[::_CLAIM_BLOCK], side="left").tolist())
+    for lo, hi in pairwise([*cuts, len(p)]):
+        bp, bc = p[lo:hi], c[lo:hi]
+        first = np.ones(len(bp), dtype=bool)
+        first[1:] = bp[1:] != bp[:-1]
+        start = np.flatnonzero(first)
+        rank = np.arange(len(bp)) - np.repeat(start, np.diff(start, append=len(bp)))
+        anchor = np.roll(bc, 1)
+        anchor[start] = records.entry_age[bp[start]]
+        yield rank, anchor, np.maximum(bc, anchor + 1)
 
 
 def build_duration_histogram(records: ClaimRecords, transition: str = "merged") -> DurationHistogram:
     """Histogram of waiting times, anchor to booked age, for one transition or all pooled."""
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}; expected one of {TRANSITIONS}")
-    rank, anchor, booked = _claim_steps(records)
-    durations = booked - anchor
-    if transition != "merged":
-        durations = durations[rank == TRANSITIONS.index(transition)]
-    return DurationHistogram(np.bincount(durations, minlength=1), transition)
+    counts = np.zeros(1, dtype=np.int64)
+    for rank, anchor, booked in _claim_steps(records):
+        durations = booked - anchor
+        if transition != "merged":
+            durations = durations[rank == TRANSITIONS.index(transition)]
+        block = np.bincount(durations, minlength=len(counts))  # as long as the longest so far
+        block[: len(counts)] += counts
+        counts = block
+    return DurationHistogram(counts, transition)
 
 
 def histogram_to_df(hist: DurationHistogram) -> np.ndarray:
@@ -478,13 +526,16 @@ def build_occurrence_table(records: ClaimRecords, cap_age: int = 60) -> Occurren
     """One count per retained claim at (renewal age, claim age), pooled at the cap."""
     _check_cap_age(cap_age)
     n = cap_age - BASE_AGE + 1
-    _, s, t = _claim_steps(records)
-    for age in (s, t):  # the anchor and booked ages, pooled at the cap in place
-        np.minimum(age, cap_age, out=age)
-        age -= BASE_AGE
-    placed = s < t
-    counts = np.bincount(s[placed] * n + t[placed], minlength=n * n).reshape(n, n)
-    return OccurrenceTable(counts, cap_age, int(np.count_nonzero(~placed)))
+    counts = np.zeros(n * n, dtype=np.int64)
+    dropped = 0
+    for _, s, t in _claim_steps(records):
+        for age in (s, t):  # the anchor and booked ages, pooled at the cap in place
+            np.minimum(age, cap_age, out=age)
+            age -= BASE_AGE
+        placed = s < t
+        counts += np.bincount(s[placed] * n + t[placed], minlength=n * n)
+        dropped += len(placed) - int(np.count_nonzero(placed))
+    return OccurrenceTable(counts.reshape(n, n), cap_age, dropped)
 
 
 def occurrence_to_nh_df(table: OccurrenceTable) -> tuple[TwoTimeMatrix, list[int]]:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -616,6 +617,138 @@ def test_columnar_pipeline_matches_the_per_policy_reference(
     assert np.array_equal(table.counts, counts) and table.dropped_beyond_cap == dropped
     rows = [(r.label, r.total, r.no_claim) for r in no_claim_table(records, cap_age)]
     assert rows == _reference_no_claim(triples, cap_age)
+
+
+
+# -- the cleaner, the record checks and the count tables run by blocks of claims --
+
+_CLAIM_BLOCKS = [1, 2, 3, 7]
+
+
+def _build_df(policies_file, claims_file, zero_duration):
+    """The cleaned columns, the report and every count table, as plain values."""
+    records, report = ingest(policies_file, claims_file, CleaningConfig(zero_duration=zero_duration))
+    columns = [col.tolist() for col in (records.entry_age, records.claim_policy, records.claim_age)]
+    tables = [build_duration_histogram(records, tr).counts.tolist() for tr in TRANSITIONS]
+    for cap_age in (BASE_AGE + 1, 30, 60):
+        table = build_occurrence_table(records, cap_age)
+        tables.append((table.counts.tolist(), table.dropped_beyond_cap, no_claim_table(records, cap_age)))
+    return records.policy_ids, columns, report, tables
+
+
+def _build_df_by_blocks(files, zero_duration):
+    """:func:`_build_df` at each block size in ``_CLAIM_BLOCKS``."""
+    results = []
+    for block in _CLAIM_BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(claims, "_CLAIM_BLOCK", block)
+            results.append(_build_df(*files, zero_duration))
+    return results
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    entries=st.lists(st.one_of(st.just(""), st.integers(10, 45)), min_size=1, max_size=8),
+    rows=st.lists(st.tuples(st.integers(0, 7), st.integers(10, 45)), max_size=40),
+)
+def test_count_tables_do_not_depend_on_the_claim_block(csv_writer, entries, rows):
+    # narrow ages make same-age pairs and pre-entry claims common; tiny blocks put them at cuts
+    policies = [(f"P{i}", e) for i, e in enumerate(entries)]
+    files = csv_writer(policies, [(f"P{i % len(policies)}", age) for i, age in rows])
+    for zero_duration in ("bucket1", "discard"):
+        expected = _build_df(*files, zero_duration)
+        assert _build_df_by_blocks(files, zero_duration) == [expected] * len(_CLAIM_BLOCKS)
+
+
+def _corpus_with_cuts(block):
+    """Policies and claims whose sorted claims put the cases below at cuts between blocks."""
+    policies, rows = [], []
+
+    def add(pid, entry, ages):
+        policies.append((pid, entry))
+        rows.extend((pid, age) for age in ages)
+
+    add("RUN", 20, range(21, 23 + block))  # the cut at claim `block` splits this run
+    add("PAD", 20, range(21, 21 + (block - 1 - len(rows)) % block))
+    add("PAIR", 30, [35, 35])  # the last claim of a block and the first of the next
+    add("PAD2", 20, range(21, 21 + -len(rows) % block))
+    add("EARLY", 40, [35, 40, 45])  # a pre-entry claim opens a block, one at entry follows
+    return policies, rows
+
+
+@pytest.mark.parametrize("zero_duration", ["bucket1", "discard"])
+@pytest.mark.parametrize("block", _CLAIM_BLOCKS)
+def test_block_cuts_keep_runs_same_age_pairs_and_pre_entry_claims(csv_writer, zero_duration, block):
+    policies, rows = _corpus_with_cuts(block)
+    files = csv_writer(policies, rows[::-1])  # reversed, so that the sort moves every claim
+    cleaning = CleaningConfig(zero_duration=zero_duration)
+    triples, discarded = _reference_clean(policies, rows, cleaning)
+    records, report = ingest(*files, cleaning)
+    assert _triples(records) == triples and report.claims_discarded == discarded
+    assert discarded == (3 if zero_duration == "discard" else 1)  # 35 < 40; the second 35 and 40 at entry
+    expected = _build_df(*files, zero_duration)
+    assert _build_df_by_blocks(files, zero_duration) == [expected] * len(_CLAIM_BLOCKS)
+
+
+@pytest.mark.parametrize("block", _CLAIM_BLOCKS)
+def test_claim_records_checks_a_fault_at_a_block_cut(monkeypatch, block):
+    # claims 0..block-1 are policy 0's and the rest policy 1's; claim `block` opens a block
+    monkeypatch.setattr(claims, "_CLAIM_BLOCK", block)
+    owners = [0] * block + [1] * (block + 1)
+    ages = list(range(21, 21 + block)) + list(range(41, 42 + block))
+
+    def records(owners=owners, ages=ages, entries=(20, 40)):
+        return ClaimRecords(("A", "B"), list(entries), owners, ages)
+
+    def at_cut(column, value):
+        return column[:block] + [value] + column[block + 1 :]
+
+    records()
+    records(ages=at_cut(ages, 40))  # at its entry age
+    records(owners=[0] * len(ages), ages=at_cut(ages, 20 + block), entries=(20, 20))  # a same-age pair
+    with pytest.raises(ValueError, match="must index the 2 policies"):
+        records(owners=at_cut(owners, 2))
+    with pytest.raises(ValueError, match="must index the 2 policies"):
+        records(owners=at_cut(owners, -1))
+    with pytest.raises(ValueError, match=r"sorted by \(policy, age\)"):
+        records(owners=[1] * block + [0] * (block + 1), entries=(20, 20))
+    with pytest.raises(ValueError, match=r"sorted by \(policy, age\)"):
+        records(owners=[0] * len(ages), ages=at_cut(ages, 19 + block), entries=(20, 20))
+    with pytest.raises(ValueError, match="predate its entry"):
+        records(ages=at_cut(ages, 39))
+
+
+def test_build_df_memory_is_bounded_by_a_block(tmp_path):
+    # 2e5 claims of 3e4 policies, each policy's claims adjacent in random age order, a few pre-entry
+    rng = np.random.default_rng(5)
+    entry = BASE_AGE + rng.integers(0, 30, 30_000)
+    owner = np.repeat(np.arange(len(entry)), rng.integers(0, 15, len(entry)))
+    age = entry[owner] - 2 + rng.integers(0, 80, len(owner))
+    policies, claims_file = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    policies.write_text("policy_id,entry_age\n" + "".join(f"P{i},{e}\n" for i, e in enumerate(entry.tolist())))
+    claims_file.write_text(
+        "policy_id,claim_age\n" + "".join(f"P{i},{a}\n" for i, a in zip(owner.tolist(), age.tolist()))
+    )
+    tracemalloc.start()
+    try:
+        records, _ = ingest(policies, claims_file)
+        held = tracemalloc.get_traced_memory()[0]  # what the records keep
+        for transition in TRANSITIONS:
+            build_duration_histogram(records, transition)
+        build_occurrence_table(records)  # no_claim_table works on the policy columns, so it is left out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:  # ingest's policy index, which it drops on return
+        index = dict(zip(records.policy_ids, range(len(records.policy_ids))))
+        index_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records.claim_age) >= 100_000 and len(index) == len(entry)
+    # twelve block-long int64 arrays: the steps of two blocks of policies are live at once,
+    # since a table's loop holds the last block while the next is computed
+    assert peak <= held + index_bytes + 12 * 8 * claims._CLAIM_BLOCK
 
 
 # -- the per-row ingest the block parse replaced, kept as its oracle --

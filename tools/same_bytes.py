@@ -63,6 +63,7 @@ def write_inputs(where: Path) -> None:
     from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES
 
     truth = inputs.generating_df(43, 1.0)
+    inputs.write_synthetic_corpus(truth, 10_000, 9, where / "c10k")  # ~78k claims: cuts between claim blocks
     inputs.write_synthetic_corpus(truth, 3000, 5, where / "c3k")
     inputs.write_synthetic_corpus(truth, 15, 1, where / "c15")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
@@ -81,6 +82,10 @@ def invocations() -> list[list[str]]:
                 runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv",
                              "--claims", f"in/{corpus}/claims.csv", "--out-dir", f"out/{corpus}-{mode}-{cap}",
                              "--zero-duration", mode, "--cap-age", cap])
+    for mode in ("bucket1", "discard"):
+        for cap in ("60", "40"):
+            runs.append(["build-df", "--policies", "in/c10k/policies.csv", "--claims", "in/c10k/claims.csv",
+                         "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
     for name in _FAULTS:
         runs.append(["build-df", "--policies", f"in/{name}/policies.csv", "--claims", f"in/{name}/claims.csv",
                      "--out-dir", f"out/{name}"])
