@@ -8,28 +8,28 @@ the pooling cap (default 60) are compiled together.
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
 (policy, age) with one in-place stable sort of a one-key buffer, whose cost
 follows the input order: it is least when each policy's claims are adjacent,
-as the synthetic corpora write them.  Every count table sums the
-``np.bincount`` of each block of claims.
+as the synthetic corpora write them.  Every count table is an
+``np.bincount``, of the capped entry ages or summed over blocks of claims.
 
-Past the two claim columns themselves, the working memory of cleaning,
-checking and counting is set by one block of ``_CLAIM_BLOCK`` claims, not by
-the corpus: the cleaner compacts the kept claims block by block into the
-buffers it read them into, the record checks run block by block, and the
-count tables step through blocks of whole policies.  The stable sort's merge
-buffer is the exception: it is small when the input is nearly in order, as
-the synthetic corpora are, and grows towards half the key column when it is
-not.
+Past the record columns themselves, the working memory of cleaning,
+checking and counting is set by one block of ``_CLAIM_BLOCK`` claims and a
+few policy-length arrays, not by the claims: the cleaner, compacting the kept
+claims into the buffers it read them into, and the claim tables step through
+the same blocks of whole policies, and the record checks run block by block.
+The stable sort's merge buffer is the exception: it is small when the input
+is nearly in order, as the synthetic corpora are, and grows towards half the
+key column when it is not.
 
 :func:`ingest` reads each CSV in blocks of about 8 KiB of whole lines.  A
 block of plain ``id,age`` lines is split on its commas in one pass, its ids
 go through the policy index in one ``map`` and its ages through one
-``np.fromiter`` over a table of the canonical age texts, and the results are
-appended to flat ``array("q")`` columns.  From the first block that is not
-plain (a blank, padded, quoted or ragged line, mixed line ends, or more than
-the csv field limit), ``csv`` reads the rest of the file.  A block that
-fails any check or holds any other age text is walked again row by row, so
-each error names the file and the physical line of the first failing
-record, whichever check it fails.
+``np.fromiter`` over a table of the canonical age texts (or, if any text is
+off that table, through :func:`_parse_age`), and the results are appended to
+flat ``array("q")`` columns.  From the first block that is not plain (a
+blank, padded, quoted or ragged line, mixed line ends, or more than the csv
+field limit), ``csv`` reads the rest of the file.  A block that fails any
+check is walked again row by row, only to raise: each error names the file
+and the physical line of the first failing record, whichever check it fails.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def ingest(
     unknown policies raise with the file and line number.
 
     Each block of records from :func:`_records` is checked and stored at
-    once; a block that fails any check is walked row by row instead, so
-    the first failing line raises, whichever check it fails.  A malformed
+    once; a block that fails any check is first walked row by row, only to
+    raise at the first failing line, whichever check it fails.  A malformed
     age on a rejected policy's claim is not read, so it does not fail.
     """
     report = IngestReport()
@@ -201,73 +201,57 @@ def ingest(
     for linenos, pids, texts in _records(policies_file, ("policy_id", "entry_age")):
         imputed = texts.count("")
         entry = _bulk_ages([t or blank for t in texts] if imputed else texts)
-        if entry is not None and len(set(pids)) == len(pids) and index.keys().isdisjoint(pids):
-            keep = entry >= BASE_AGE
-            report.policies_read += len(pids)
-            report.imputed_entries += imputed
-            report.policies_rejected += len(pids) - int(keep.sum())
-            index.update(zip(pids, np.where(keep, np.cumsum(keep) + (len(ids) - 1), -1).tolist()))
-            ids.extend(compress(pids, keep.tolist()))
-            entries.frombytes(entry[keep].tobytes())
-            continue
-        for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
-            if pid in index:
-                raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
-            report.policies_read += 1
-            if text == "":
-                entry_age = cleaning.impute_entry_age
-                report.imputed_entries += 1
-            else:
-                entry_age = _parse_age(text, policies_file, lineno)
-                if entry_age < BASE_AGE:
-                    report.policies_rejected += 1
-                    index[pid] = -1
-                    continue
-            index[pid] = len(ids)
-            ids.append(pid)
-            entries.append(entry_age)
+        if entry is None or len(set(pids)) < len(pids) or not index.keys().isdisjoint(pids):
+            seen: set[str] = set()
+            for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
+                if pid in index or pid in seen:
+                    raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
+                seen.add(pid)
+                _parse_age(text or blank, policies_file, lineno)
+        keep = entry >= BASE_AGE
+        report.policies_read += len(pids)
+        report.imputed_entries += imputed
+        report.policies_rejected += len(pids) - int(keep.sum())
+        index.update(zip(pids, np.where(keep, np.cumsum(keep) + (len(ids) - 1), -1).tolist()))
+        ids.extend(compress(pids, keep.tolist()))
+        entries.frombytes(entry[keep].tobytes())
 
     for linenos, pids, texts in _records(claims_file, ("policy_id", "claim_age")):
         owner = np.fromiter(map(index.get, pids, repeat(-2)), np.int64, len(pids))  # -2: unknown
         kept = owner >= 0
         # a rejected policy's claim ages are not read
         age = _bulk_ages(texts if kept.all() else list(compress(texts, kept.tolist())))
-        if age is not None and owner.min(initial=0) >= -1:
-            report.claims_read += len(pids)
-            owners.frombytes(owner[kept].tobytes())
-            ages.frombytes(age.tobytes())
-            continue
-        for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
-            report.claims_read += 1
-            i = index.get(pid)
-            if i is None:
-                raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
-            if i >= 0:
-                owners.append(i)
-                ages.append(_parse_age(text, claims_file, lineno))
+        if age is None or owner.min(initial=0) < -1:
+            for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
+                if pid not in index:
+                    raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
+                if index[pid] >= 0:
+                    _parse_age(text, claims_file, lineno)
+        report.claims_read += len(pids)
+        owners.frombytes(owner[kept].tobytes())
+        ages.frombytes(age.tobytes())
 
     entry = np.asarray(entries, dtype=np.int64)
     # each claim as one key, policy * (MAX_AGE + 1) + age, in the buffers it was read into;
-    # ages below BASE_AGE clamp as in _parse_age, since such claims predate their entry
+    # every age read is in 0..MAX_AGE, so the key decodes exactly
     p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
     p *= MAX_AGE + 1
-    p += np.maximum(c, BASE_AGE - 1, out=c)
+    p += c
     p.sort(kind="stable")  # fastest when each policy's claims are adjacent
     np.divmod(p, MAX_AGE + 1, out=(p, c))
-    # compact the kept claims block by block to the front of the same buffers; kept <= lo,
-    # so the claim before the block, which a discard compares with, has not been moved
+    # compact the kept claims block by block to the front of the same buffers: the cuts are
+    # all found before the first move, and a block's kept claims move to at most its start
     kept = 0
-    for lo in range(0, len(p), _CLAIM_BLOCK):
-        hi = min(lo + _CLAIM_BLOCK, len(p))
+    for lo, hi in _policy_blocks(p):
+        bp, bc = p[lo:hi], c[lo:hi]
         if cleaning.zero_duration == "discard":
-            keep = c[lo:hi] > entry[p[lo:hi]]
-            at = max(lo - 1, 0)  # not the second of a same-age pair
-            keep[at + 1 - lo :] &= (p[at + 1 : hi] != p[at : hi - 1]) | (c[at + 1 : hi] != c[at : hi - 1])
+            keep = bc > entry[bp]
+            keep[1:] &= (bp[1:] != bp[:-1]) | (bc[1:] != bc[:-1])  # not the second of a same-age pair
         else:
-            keep = c[lo:hi] >= entry[p[lo:hi]]
+            keep = bc >= entry[bp]
         n = int(np.count_nonzero(keep))
-        p[kept : kept + n] = p[lo:hi][keep]
-        c[kept : kept + n] = c[lo:hi][keep]
+        p[kept : kept + n] = bp[keep]
+        c[kept : kept + n] = bc[keep]
         kept += n
     report.claims_retained = kept
     report.claims_discarded = report.claims_read - report.claims_retained
@@ -379,16 +363,19 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[
 
 
 def _bulk_ages(texts: list[str]) -> np.ndarray | None:
-    """:func:`_parse_age` over a block of canonical ages, or None if any text is not one.
+    """The ages of a block of texts, each in 0..``MAX_AGE``, or None if any text is not an age.
 
-    Every text must be ``str(i)`` for some i in 0..``MAX_AGE``; a block with any
-    other age (a sign, a leading zero, or one that would raise) is walked row by
-    row through :func:`_parse_age`.
+    A block of canonical texts, ``str(i)`` for i in 0..``MAX_AGE``, is read
+    from a table; a block with any other text (a sign, a leading zero, or one
+    that would raise) goes through :func:`_parse_age`.
     """
     try:
         return np.fromiter(map(_AGE_OF.__getitem__, texts), np.int64, len(texts))
     except KeyError:
-        return None
+        try:  # no location: the row walk names the first bad age
+            return np.fromiter(map(_parse_age, texts, repeat(""), repeat(0)), np.int64, len(texts))
+        except ValueError:
+            return None
 
 
 def _parse_age(text: str, path: str | Path, lineno: int) -> int:
@@ -439,20 +426,27 @@ class DurationHistogram:
         return int(self.counts.sum())
 
 
+def _policy_blocks(p: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of each block of whole policies, over claims sorted by policy ``p``.
+
+    A block starts at the first claim of the policy of every ``_CLAIM_BLOCK``-th
+    claim, so it holds about that many claims, and more only where one policy does.
+    """
+    # dict.fromkeys drops the cuts repeated where a policy spans a block (numpy's sorting
+    # dedup would add about 1 MB resident at its first call)
+    cuts = dict.fromkeys(np.searchsorted(p, p[::_CLAIM_BLOCK], side="left").tolist())
+    return pairwise([*cuts, len(p)])
+
+
 def _claim_steps(records: ClaimRecords) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per claim: its rank within the policy, its anchor and its booked age, a block at a time.
 
     The anchor is the previous claim's age, or the entry age for a first
     claim.  A claim at its anchor age is booked one year later.  Each block
-    holds whole policies: it starts at the first claim of the policy of every
-    ``_CLAIM_BLOCK``-th claim, so it holds about that many claims, and more
-    only where one policy holds more.
+    holds whole policies (see :func:`_policy_blocks`).
     """
     p, c = records.claim_policy, records.claim_age
-    # dict.fromkeys drops the cuts repeated where a policy spans a block (np.unique's
-    # first call adds about 1 MB resident)
-    cuts = dict.fromkeys(np.searchsorted(p, p[::_CLAIM_BLOCK], side="left").tolist())
-    for lo, hi in pairwise([*cuts, len(p)]):
+    for lo, hi in _policy_blocks(p):
         bp, bc = p[lo:hi], c[lo:hi]
         first = np.ones(len(bp), dtype=bool)
         first[1:] = bp[1:] != bp[:-1]
@@ -575,14 +569,14 @@ def no_claim_table(records: ClaimRecords, cap_age: int = 60) -> tuple[NoClaimRow
     ages at or past it, and a grand-total row.
     """
     _check_cap_age(cap_age)
+    quiet = np.ones(len(records.entry_age), dtype=bool)
+    quiet[records.claim_policy] = False
     key = np.minimum(records.entry_age, cap_age)
-    quiet = np.bincount(records.claim_policy, minlength=len(key)) == 0
-    ages, group = np.unique(key, return_inverse=True)
-    totals = np.bincount(group, minlength=len(ages))
-    quiet_totals = np.bincount(group[quiet], minlength=len(ages))
+    totals = np.bincount(key, minlength=cap_age + 1)
+    quiet_totals = np.bincount(key[quiet], minlength=cap_age + 1)
     rows = [
-        NoClaimRow(f">={cap_age}" if age == cap_age else str(age), int(total), int(no_claim))
-        for age, total, no_claim in zip(ages, totals, quiet_totals)
+        NoClaimRow(f">={cap_age}" if age == cap_age else str(age), int(totals[age]), int(quiet_totals[age]))
+        for age in np.flatnonzero(totals).tolist()
     ]
     if rows:
         rows.append(NoClaimRow("total", len(key), int(quiet.sum())))

@@ -83,9 +83,6 @@ class CountingPmf:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pmf mass {total} is not 1 within 1e-12")
 
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.probs)), self.probs))
-
 
 def solve_discrete(F: TwoTimeMatrix) -> TwoTimeMatrix:
     """Exact solve of the discrete renewal equation by back-substitution.

@@ -735,8 +735,11 @@ def test_build_df_memory_is_bounded_by_a_block(tmp_path):
         held = tracemalloc.get_traced_memory()[0]  # what the records keep
         for transition in TRANSITIONS:
             build_duration_histogram(records, transition)
-        build_occurrence_table(records)  # no_claim_table works on the policy columns, so it is left out
+        build_occurrence_table(records)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()  # no_claim_table works on the policy columns, so it has its own bound
+        no_claim_table(records)
+        no_claim_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     tracemalloc.start()
@@ -749,6 +752,8 @@ def test_build_df_memory_is_bounded_by_a_block(tmp_path):
     # twelve block-long int64 arrays: the steps of two blocks of policies are live at once,
     # since a table's loop holds the last block while the next is computed
     assert peak <= held + index_bytes + 12 * 8 * claims._CLAIM_BLOCK
+    # three policy-length int64 arrays, and nothing as long as the claims
+    assert no_claim_peak <= held + 3 * 8 * len(records.entry_age)
 
 
 # -- the per-row ingest the block parse replaced, kept as its oracle --
@@ -830,11 +835,14 @@ def _reference_rows(path, header):
 _PLAIN_IDS = ["P0", "P1", "P2", "P3", "P4", "P5", "A_6", "Ü7", "LONGLONGID8", "\u00a0P9"]
 _IDS = _PLAIN_IDS + ["Q,10", "R\n11", "S\r\n12", 'T"13', "U 14"]
 # a sign or a leading zero puts an age off the table of canonical texts, so its block
-# is read row by row
-_ENTRY_AGES = ["", "", "24", "30", "45", "17", "18", "60", "150", "+24", "-3", "024", "00"]
+# is read through _parse_age; these are valid off-table ages at the clamp and the cap
+_EDGE_AGES = ["+0", "-17", "0018", "+150", "0150"]
+_ENTRY_AGES = ["", "", "24", "30", "45", "17", "18", "60", "150", "+24", "-3", "024", "00", *_EDGE_AGES]
 # "0" and "150" are the age table's edges; a negative age, int64's minimum among
 # them, would corrupt the (policy, age) sort key unless clamped as _parse_age clamps it
-_CLAIM_AGES = [str(a) for a in range(15, 80, 7)] + ["+40", "-1", "040", "150", "0", "17", "-0", "-9223372036854775808"]
+_CLAIM_AGES = [str(a) for a in range(15, 80, 7)] + [
+    "+40", "-1", "040", "150", "0", "17", "-0", "-9223372036854775808", *_EDGE_AGES
+]
 _BAD_AGES = ["abc", "2_4", "٢٤", "２４", "1.5", "+", "9" * 40, "99999999999999999999"]
 _FAULTS = ["ragged", "ragged pair", "bad age", "over age", "duplicate", "unknown", "whitespace line"]
 

@@ -37,6 +37,12 @@ _FAULTS = {
     "ragged": ("", "P1,30,31\n"),
 }
 
+#: the ways the signed corpus writes its ages in turn; a sign or a leading zero puts an age off
+#: the table of canonical texts that build-df reads most ages from
+_AGE_FORMS = ("{}", "+{}", "0{}", "00{}")
+#: rows added to the signed corpus: an underage policy, its claim, a pre-entry and a padded claim
+_SIGNED_ROWS = {"policies.csv": "N1,-3\n", "claims.csv": "N1,+24\nP000000,-3\nP000001,0031\n"}
+
 # runs every invocation in-process and prints [exit code, stdout, stderr] per invocation
 _DRIVER = """
 import contextlib, io, json, sys
@@ -66,6 +72,14 @@ def write_inputs(where: Path) -> None:
     inputs.write_synthetic_corpus(truth, 10_000, 9, where / "c10k")  # ~78k claims: cuts between claim blocks
     inputs.write_synthetic_corpus(truth, 3000, 5, where / "c3k")
     inputs.write_synthetic_corpus(truth, 15, 1, where / "c15")
+    (where / "signed").mkdir()
+    for name, extra in _SIGNED_ROWS.items():
+        header, *rows = (where / "c3k" / name).read_text().splitlines()
+        body = "".join(
+            f"{pid},{_AGE_FORMS[i % len(_AGE_FORMS)].format(age) if age else ''}\n"
+            for i, (pid, _, age) in enumerate(row.partition(",") for row in rows)
+        )
+        (where / "signed" / name).write_text(f"{header}\n{body}{extra}")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
         (where / name / "policies.csv").write_text(MESSY_POLICIES + policies)
@@ -86,6 +100,9 @@ def invocations() -> list[list[str]]:
         for cap in ("60", "40"):
             runs.append(["build-df", "--policies", "in/c10k/policies.csv", "--claims", "in/c10k/claims.csv",
                          "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
+    for mode in ("bucket1", "discard"):
+        runs.append(["build-df", "--policies", "in/signed/policies.csv", "--claims", "in/signed/claims.csv",
+                     "--out-dir", f"out/signed-{mode}", "--zero-duration", mode])
     for name in _FAULTS:
         runs.append(["build-df", "--policies", f"in/{name}/policies.csv", "--claims", f"in/{name}/claims.csv",
                      "--out-dir", f"out/{name}"])
