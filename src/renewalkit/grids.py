@@ -73,7 +73,9 @@ class TwoTimeMatrix:
     """Upper-triangular matrix of values a(s, t), 0 <= s <= t < n.
 
     The strict lower triangle is not part of the data model; it is stored as
-    zeros so that whole-matrix products implement triangular sums directly.
+    zeros, whatever the input held there, so that ``values`` can be read as
+    a plain n x n array: the upper-triangular product in ``convolve`` skips
+    the zero blocks and counts on the rest of the triangle being exact zeros.
     Instances are immutable: ``values`` is a read-only array, so the
     formatted upper triangle that the writers share, and the row tuples that
     the path sampler searches, are each computed at most once.
@@ -94,10 +96,10 @@ class TwoTimeMatrix:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         n = self.grid.n_points
-        vals = np.array(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (n, n):
             raise ValueError(f"values shape {vals.shape} does not match grid size {n}")
-        vals[np.tril_indices(n, k=-1)] = 0.0
+        vals = np.triu(vals)  # a fresh array, never the caller's
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         self._validate()

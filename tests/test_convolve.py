@@ -1,16 +1,28 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewalkit.convolve import (
+    _BLOCK,
+    _triu_product,
+    convolution_powers,
     density_convolve,
     increments_from_df,
     nfold_convolution,
     stieltjes_convolve,
 )
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
-from renewalkit.solver import homogeneous_lift, lift_duration_function
+from renewalkit.solver import (
+    density_from_differences,
+    homogeneous_lift,
+    lift_duration_function,
+    solve_discrete,
+    solve_series,
+)
 from renewalkit.testing import geometric_law, poisson_law, random_defective_df
 
 
@@ -269,3 +281,62 @@ def test_density_convolution_distributivity_and_bilinearity():
             scaled = scale(density_convolve(f, g, rule), a)
             assert np.abs(scaled.values - density_convolve(scale(f, a), g, rule).values).max() < 1e-12
             assert np.abs(scaled.values - density_convolve(f, scale(g, a), rule).values).max() < 1e-12
+
+
+def _triangle(rng, n, diagonal, zero_rows):
+    """Random upper triangle, strictly so without ``diagonal``, with up to ``zero_rows`` rows of zeros."""
+    A = np.triu(rng.normal(size=(n, n)), k=0 if diagonal else 1)
+    A[rng.integers(0, n, size=zero_rows)] = 0.0
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 3 * _BLOCK)),
+    seed=st.integers(0, 2**32 - 1),
+    diagonals=st.tuples(st.booleans(), st.booleans()),
+    zero_rows=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+def test_triangular_product_matches_the_full_product(n, seed, diagonals, zero_rows):
+    rng = np.random.default_rng(seed)
+    A, B = (_triangle(rng, n, d, z) for d, z in zip(diagonals, zero_rows))
+    got, want = _triu_product(A, B), A @ B
+    assert not np.tril(got, -1).any()
+    if n <= _BLOCK:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(A) @ np.abs(B)))
+    column = B[:, -1].copy()  # the counting_pmf route: one plain product
+    assert _triu_product(A, column).tobytes() == (A @ column).tobytes()
+    if n > _BLOCK:
+        # v is strictly upper triangular, so F^(n) vanishes exactly, blocked or not
+        F = random_defective_df(rng, n)
+        assert not next(islice(convolution_powers(F, F.values), n - 1, None)).any()
+
+
+def test_library_cross_checks_hold_above_the_block_size():
+    """The bench's series, n-fold and density checks on a grid that takes the blocked product."""
+    F = random_defective_df(np.random.default_rng(71), 2 * _BLOCK + 7)
+    assert np.abs(solve_series(F).renewal.values - solve_discrete(F).values).max() <= 1e-10
+    power = F
+    for _ in range(3):
+        power = stieltjes_convolve(power, F)
+    assert np.abs(nfold_convolution(F, 4).values - power.values).max() <= 1e-12
+    f = density_from_differences(F)
+    left, right, trap = (density_convolve(f, f, rule).values for rule in ("rect-left", "rect-right", "trapezoid"))
+    assert np.abs(trap - 0.5 * (left + right)).max() <= 1e-12 * max(1.0, np.abs(trap).max())
+
+
+@pytest.mark.parametrize("columns", [1, 3, 2 * _BLOCK + 9])
+def test_convolution_powers_of_a_non_square_block_are_plain_products(columns):
+    """An n x k X (k != n) may hold anything; above the block size it is still v^k X exactly."""
+    n = 2 * _BLOCK + 7
+    rng = np.random.default_rng(5)
+    F = random_defective_df(rng, n)
+    X = rng.normal(size=(n, columns))
+    v = increments_from_df(F).values
+    want = X
+    for got in islice(convolution_powers(F, X), 4):
+        assert got.shape == (n, columns)
+        assert got.tobytes() == want.tobytes()
+        want = v @ want

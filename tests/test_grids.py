@@ -100,14 +100,22 @@ def test_matrix_rejects_each_kind_invariant_violation(kind, cells, message):
 def test_matrix_zeroes_the_strict_lower_triangle_of_every_kind():
     grid = TimeGrid(0.0, 1.0, 3)
     # values that would break every invariant if they were kept
-    lower = _with({(1, 0): np.nan, (2, 0): -7.0, (2, 1): 2.0})
-    for kind in KINDS:
-        m = TwoTimeMatrix(grid, lower, kind)
-        assert m.values.tobytes() == _VALID.tobytes()
+    for cells in ({(1, 0): np.nan, (2, 0): -7.0, (2, 1): 2.0},
+                  {(1, 0): np.inf, (2, 0): -np.inf, (2, 1): np.nan}):
+        lower = _with(cells)
+        before = lower.copy()
+        for kind in KINDS:
+            for values in (lower, _VALID):
+                m = TwoTimeMatrix(grid, values, kind)
+                assert m.values.tobytes() == _VALID.tobytes()
+                assert not np.shares_memory(m.values, values)
+        assert lower.tobytes() == before.tobytes()
     with pytest.raises(ValueError, match="unknown kind"):
         TwoTimeMatrix(grid, _VALID, "cumulative")
-    with pytest.raises(ValueError, match="does not match grid size"):
-        TwoTimeMatrix(grid, _VALID[:2], "generic")
+    # a row would broadcast to a square under np.triu; the shape check comes first
+    for bad in (_VALID[:2], _VALID[0], _VALID[:, :, None], 0.5):
+        with pytest.raises(ValueError, match=r"values shape \(.*\) does not match grid size 3"):
+            TwoTimeMatrix(grid, bad, "generic")
 
 
 def test_increment_row_mass_is_bounded():

@@ -146,6 +146,31 @@ def test_singular_diagonal_aborts_with_location(tag, diag):
         solve_quadrature(f, F, SolverMethod(tag))
 
 
+# Simpson's divisor is 1 - f/2 at odd lags and 1 - f/3 at even lags (h = 1): f = 2
+# makes only the odd lags singular, f = 3 both.  Rows 1 and 3 at f = 2 are singular
+# at k = 2, 4, 6 and k = 4, 6; the sweep, last row first, would meet (3, 4) first.
+@pytest.mark.parametrize("tag, diag, where", [
+    ("simpson", {1: 2.0, 3: 2.0}, r"\(u=1, k=2\): 1 - w0\*f\(u,u\) = 0\.000e\+00"),
+    ("simpson", {5: 2.0}, r"\(u=5, k=6\): 1 - w0\*f\(u,u\) = 0\.000e\+00"),
+    ("simpson", {4: 3.0, 5: 2.0}, r"\(u=4, k=5\): 1 - w0\*f\(u,u\) = -5\.000e-01"),
+    ("trapezoid", {3: 2.0, 2: 1.0}, r"\(u=3, k=4\): 1 - w0\*f\(u,u\) = 0\.000e\+00"),
+    ("simpson", {6: 3.0}, None),  # the last row has no lag on the grid
+    ("trapezoid", {6: 2.0, 5: 1.0}, None),
+])
+def test_singular_diagonal_names_the_first_column_and_its_lowest_row(tag, diag, where):
+    grid = TimeGrid(0.0, 1.0, 7)
+    F = TwoTimeMatrix(grid, np.zeros((7, 7)), "distribution")
+    vals = np.zeros((7, 7))
+    for u, x in diag.items():
+        vals[u, u] = x
+    f = TwoTimeMatrix(grid, vals, "density")
+    if where is None:
+        assert not solve_quadrature(f, F, SolverMethod(tag)).values.any()
+        return
+    with pytest.raises(ValueError, match=r"singular diagonal at " + where):
+        solve_quadrature(f, F, SolverMethod(tag))
+
+
 def _textbook_weights(tag, h, m):
     """Weights on tau = u..u+m written out node by node."""
     if tag == "rect-right":
