@@ -82,15 +82,12 @@ def _triu_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def increments_from_df(F: TwoTimeMatrix) -> TwoTimeMatrix:
     """One-step backward differences of a distribution matrix.
 
-    v(s, s) = 0 and v(s, t) = M(s, t) - M(s, t-1) for t > s, where M is the
-    running maximum of each row of F.  On a nondecreasing row M = F; on a
-    row that dips within the validation slack, every step stays >= 0 and
-    the row sums telescope to the row's maximum, so a dip adds no mass.
+    v(s, s) = 0 and v(s, t) = M(s, t) - M(s, t-1) for t > s, where M is
+    ``F.running_max``.  Every step is >= 0, and the row sums telescope to
+    the row's maximum.
     """
     require_kind(F, "distribution")
-    v = np.maximum.accumulate(F.values, axis=1)  # column 0 holds a(0,0) = 0 and the zeroed lower triangle
-    v[:, 1:] = np.diff(v, axis=1)
-    return TwoTimeMatrix(F.grid, v, "increment")
+    return TwoTimeMatrix(F.grid, np.diff(F.running_max, axis=1, prepend=0.0), "increment")
 
 
 def stieltjes_convolve(G: TwoTimeMatrix, F: TwoTimeMatrix) -> TwoTimeMatrix:

@@ -77,8 +77,8 @@ class TwoTimeMatrix:
     a plain n x n array: the upper-triangular product in ``convolve`` skips
     the zero blocks and counts on the rest of the triangle being exact zeros.
     Instances are immutable: ``values`` is a read-only array, so the
-    formatted upper triangle that the writers share, and the row tuples that
-    the path sampler searches, are each computed at most once.
+    formatted upper triangle that the writers share, and the running maximum
+    that the samplers and the increments read, are each computed at most once.
 
     Kind invariants (checked at construction):
       distribution  a(i,i) = 0, values in [0, 1], rows nondecreasing in t
@@ -147,13 +147,25 @@ class TwoTimeMatrix:
         return FormattedTriangle(self)
 
     @cached_property
+    def running_max(self) -> np.ndarray:
+        """Each row's running maximum in t, read-only, built on first use and kept.
+
+        It is ``values`` itself unless a row decreases, as a distribution row may within the slack.
+        """
+        m = self.values
+        if (m[:, 1:] < m[:, :-1]).any():
+            m = np.maximum.accumulate(m, axis=1)
+            m.setflags(write=False)
+        return m
+
+    @cached_property
     def rows(self) -> tuple[tuple[float, ...], ...]:
-        """``values`` as a tuple of row tuples of Python floats, built on first use and kept.
+        """``running_max`` as a tuple of row tuples of Python floats, built on first use and kept.
 
         The path sampler bisects these: one search on a tuple costs a fraction
         of a search on an array row.
         """
-        return tuple(map(tuple, self.values.tolist()))
+        return tuple(map(tuple, self.running_max.tolist()))
 
     def at(self, s_idx: int, t_idx: int) -> float:
         """Value a(s, t).  Querying s > t is a contract violation, not zero."""

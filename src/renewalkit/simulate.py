@@ -2,22 +2,13 @@
 
 Used as an independent oracle for the solvers: simulate many paths, count
 renewals, compare the empirical mean with the solved renewal function.
-Sampling is plain inverse transform on the cumulative rows of F.  The
-stepping rule: a draw u on (0, 1] at renewal age s leads to the first t with
-F(s, t) >= u, found by a lower-bound search over the whole row s.  A path
-ends once t passes the horizon, or the grid when u exceeds a defective row.
-
-The rule has two implementations.  ``sample_path`` bisects the row tuples of
-``TwoTimeMatrix.rows``, one draw per step; ``estimate_renewal_function``
-runs ``ndarray.searchsorted(side="left")`` on a row for all live paths at
-that age at once.  ``bisect_left`` makes the same probes as a one-key
-``searchsorted``, so it takes the same step even on a row that dips within
-the validation slack.  In ``tests/test_simulate.py``,
-``test_sample_path_matches_the_searchsorted_reference`` and the two tests
-after it hold ``sample_path`` to a ``searchsorted`` step, path by path and
-draw by draw, and
-``test_estimator_counts_the_paths_that_sample_path_draws_from_its_uniforms``
-holds the estimator to ``sample_path``.
+Sampling is plain inverse transform with one stepping rule: a draw u on
+(0, 1] at renewal age s leads to the first t with M(s, t) >= u, where M is
+``TwoTimeMatrix.running_max``, each row's running maximum of F.  A path ends
+once t passes the horizon, or the grid when u exceeds a defective row.
+``sample_path`` bisects M's row tuples one draw at a time, and
+``estimate_renewal_function`` searches a row of M for all live paths at that
+age at once; the rows of M are sorted, so both take the same step.
 """
 
 from __future__ import annotations
@@ -117,7 +108,7 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     sq_hits = np.zeros(span, dtype=np.int64)
     reached = np.array([n_paths] + [0] * span, dtype=np.int64)  # paths with >= k renewals
     chunk = min(n_paths, max(1, _CHUNK_DRAWS // span))
-    vals = F.values
+    M = F.running_max
     # refilled by each chunk, so that no two draw blocks are ever live at once
     block = np.empty((chunk, span))
     for first in range(0, n_paths, chunk):
@@ -131,7 +122,7 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
             u = 1.0 - draws[rows, step]  # uniform on (0, 1]
             edges = [0, *(np.flatnonzero(cur[1:] != cur[:-1]) + 1), len(cur)]
             for a, b in zip(edges, edges[1:]):
-                cur[a:b] = vals[cur[a]].searchsorted(u[a:b], side="left")
+                cur[a:b] = M[cur[a]].searchsorted(u[a:b], side="left")
             go = cur <= horizon
             rows, cur = rows[go], cur[go]
             renewed = np.bincount(cur - start, minlength=span)

@@ -39,9 +39,19 @@ def test_matrix_zeroes_lower_triangle_and_is_immutable():
     assert m.values[0, 2] == 7.0
     with pytest.raises(ValueError):
         m.values[0, 1] = 1.0
-    # the sampler's row tuples: immutable too, and built once
+    # the running maximum of each row, and the sampler's row tuples of it: immutable too, and
+    # built once; on rows that never decrease the view is ``values`` itself
+    assert m.running_max is m.values
     assert m.rows == ((7.0, 7.0, 7.0), (0.0, 7.0, 7.0), (0.0, 0.0, 7.0))
     assert m.rows is m.rows
+    dip = np.array([[0, 0.5, 0.5 - 5e-10, 1], [0, 0, 1, 1 - 5e-10], [0, 0, 0, 0], [0, 0, 0, 0]])
+    d = TwoTimeMatrix(TimeGrid(0.0, 1.0, 4), dip, "distribution")
+    assert d.running_max is d.running_max
+    assert d.running_max.tolist() == [[0, 0.5, 0.5, 1], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert d.values.tolist() == dip.tolist()
+    with pytest.raises(ValueError):
+        d.running_max[0, 2] = 0.25
+    assert d.rows == tuple(map(tuple, d.running_max.tolist()))
 
 
 def test_lower_triangle_query_is_a_contract_violation():

@@ -12,15 +12,15 @@ from renewalkit.testing import geometric_law, random_defective_df
 
 
 def _reference_estimate(F, cfg):
-    """The earlier estimator: one (paths, span) draw block and count matrix.
+    """One (paths, span) draw block and count matrix, stepping by the literal rule.
 
-    Kept as the oracle for the streaming estimator; returns (means,
-    std_errs, terminal_pmf).
+    A linear scan finds the first t with M(s, t) >= u, where M is the running
+    maximum of each row of F.  Kept as the oracle for the streaming
+    estimator; returns (means, std_errs, terminal_pmf).
     """
     start, horizon = cfg.start_idx, cfg.horizon_idx
     span = horizon - start + 1
-    vals = F.values
-    totals = vals[:, -1]
+    M = np.maximum.accumulate(F.values, axis=1)
     rng = np.random.default_rng(cfg.seed)
     draws = 1.0 - rng.random((cfg.n_paths, span))
     counts = np.zeros((cfg.n_paths, span), dtype=np.int32)
@@ -29,13 +29,9 @@ def _reference_estimate(F, cfg):
     for step in range(span):
         if len(active) == 0:
             break
-        u = draws[active, step]
-        c = cur[active]
-        nxt = np.zeros(len(active), dtype=np.int64)
-        alive = u <= totals[c]
-        for cv in np.unique(c[alive]):
-            m = alive & (c == cv)
-            nxt[m] = np.searchsorted(vals[cv], u[m], side="left")
+        at_or_above = M[cur[active]] >= draws[active, step][:, None]
+        alive = at_or_above.any(axis=1)
+        nxt = at_or_above.argmax(axis=1)  # the first True of each row
         ok = alive & (nxt <= horizon)
         counts[active[ok], nxt[ok] - start] += 1
         cur[active[ok]] = nxt[ok]
@@ -50,14 +46,16 @@ def _reference_estimate(F, cfg):
 
 
 def _reference_sample_path(F, start_idx, horizon_idx, rng):
-    """The earlier sampler: one ``ndarray.searchsorted(side="left")`` per step.
+    """The stepping rule read literally: a linear scan for the first t with M(s, t) >= u.
 
-    Kept as the oracle for ``sample_path``, which bisects row tuples instead.
+    M is the running maximum of each row of F.  Kept as the oracle for
+    ``sample_path``, which bisects row tuples instead.
     """
-    vals = F.values
+    M = np.maximum.accumulate(F.values, axis=1).tolist()
     path, cur = [], start_idx
     while True:
-        nxt = int(vals[cur].searchsorted(1.0 - rng.random(), side="left"))
+        u = 1.0 - rng.random()
+        nxt = next((t for t, m in enumerate(M[cur]) if m >= u), F.n_points)
         if nxt > horizon_idx:
             return path
         path.append(nxt)
@@ -65,15 +63,22 @@ def _reference_sample_path(F, start_idx, horizon_idx, rng):
 
 
 class _Draws:
-    """Stands in for a generator: ``random()`` returns the given numbers in order."""
+    """Stands in for a generator: ``random()`` returns the given numbers in order.
+
+    ``random(out=block)`` fills the block with the next ones, row by row.
+    """
 
     def __init__(self, values):
         self.values = list(values)
         self.taken = 0
 
-    def random(self):
-        self.taken += 1
-        return self.values[self.taken - 1]
+    def random(self, out=None):
+        if out is None:
+            self.taken += 1
+            return self.values[self.taken - 1]
+        out.flat = self.values[self.taken : self.taken + out.size]
+        self.taken += out.size
+        return out
 
 
 def _dipped(F, rng):
@@ -172,7 +177,7 @@ def test_sample_path_steps_to_the_first_cell_at_or_above_the_draw():
 
 def test_sample_path_matches_the_reference_on_draws_at_and_beside_every_cell():
     # u equal to each cell, one ulp either side of it, 1.0, and past each row total,
-    # on rows that dip within the slack: the two searches must probe alike
+    # on rows that dip within the slack
     rng = np.random.default_rng(107)
     for _ in range(6):
         n = int(rng.integers(2, 16))
@@ -353,10 +358,28 @@ def test_estimator_is_invariant_to_the_chunk_size(monkeypatch):
     cfg = SimConfig(2_000, 5, 2, 27)
     span = cfg.horizon_idx - cfg.start_idx + 1
     default = _outputs(estimate_renewal_function(F, cfg))
+    default_chunk = simulate._CHUNK_DRAWS
     for paths_per_chunk in (1, 7):
         monkeypatch.setattr(simulate, "_CHUNK_DRAWS", paths_per_chunk * span)
         for got, want in zip(_outputs(estimate_renewal_function(F, cfg)), default):
             assert np.array_equal(got, want)
+    # every row dips within the slack, as row 0 does at t = 4, and stub draws land in the
+    # dip's window (0.5 - 5e-10, 0.5]: there the literal step from age s is to t = s + 3
+    dip = [0.0, 0.1, 0.3, 0.5, 0.5 - 5e-10, 0.7, 0.9, 1.0]
+    F = homogeneous_lift(np.array(dip), TimeGrid(0.0, 1.0, 8))
+    block = 1.0 - np.resize([0.6, 0.5 - 2e-10, 0.3, 0.5, 0.5 - 4e-10], (6, 8))
+    hits, counts = np.zeros(8, dtype=np.int64), []
+    for row in block:
+        path = sample_path(F, 0, 7, _Draws(row))
+        assert path == _reference_sample_path(F, 0, 7, _Draws(row))
+        hits[path] += 1
+        counts.append(len(path))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(block.ravel()))
+    for chunk_draws in (8, 16, default_chunk):  # 1 and 2 paths per chunk, and all 6 at once
+        monkeypatch.setattr(simulate, "_CHUNK_DRAWS", chunk_draws)
+        est = estimate_renewal_function(F, SimConfig(6, 0, 0, 7))
+        assert np.array_equal(est.means, np.cumsum(hits) / 6)
+        assert np.array_equal(est.terminal_pmf, np.bincount(counts) / 6)
 
 
 def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):

@@ -42,6 +42,11 @@ _FAULTS = {
 _AGE_FORMS = ("{}", "+{}", "0{}", "00{}")
 #: rows added to the signed corpus: an underage policy, its claim, a pre-entry and a padded claim
 _SIGNED_ROWS = {"policies.csv": "N1,-3\n", "claims.csv": "N1,+24\nP000000,-3\nP000001,0031\n"}
+#: a law whose row 0 dips twice by 9e-10, inside the validation slack
+_DIPPED_LAW = "".join(
+    ["# grid origin=0 h=1 n=6 kind=distribution\n", "0\t1\t0.99999999910000001\t1\t0.99999999910000001\t1\n"]
+    + ["\t".join(["0"] * (6 - i)) + "\n" for i in range(1, 6)]
+)
 
 # runs every invocation in-process and prints [exit code, stdout, stderr] per invocation
 _DRIVER = """
@@ -85,6 +90,7 @@ def write_inputs(where: Path) -> None:
         (where / name / "policies.csv").write_text(MESSY_POLICIES + policies)
         (where / name / "claims.csv").write_text(MESSY_CLAIMS + claims)
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
+    (where / "dip.tsv").write_text(_DIPPED_LAW)
 
 
 def invocations() -> list[list[str]]:
@@ -107,7 +113,7 @@ def invocations() -> list[list[str]]:
         runs.append(["build-df", "--policies", f"in/{name}/policies.csv", "--claims", f"in/{name}/claims.csv",
                      "--out-dir", f"out/{name}"])
     for name, df in (("law501", "in/law501.tsv"), ("c3k", "out/c3k-bucket1-60/waiting_df_by_age.tsv"),
-                     ("messy", "out/messy-discard-40/waiting_df_by_age.tsv")):
+                     ("messy", "out/messy-discard-40/waiting_df_by_age.tsv"), ("dip", "in/dip.tsv")):
         for method in METHODS:
             runs.append(["solve", "--df", df, "--method", method, "--out", f"out/H-{name}-{method}.tsv"])
         runs.append(["report", "--matrix", f"out/H-{name}-exact.tsv", "--out", f"out/report-{name}.tsv"])
@@ -117,6 +123,7 @@ def invocations() -> list[list[str]]:
     for df, paths, seed, start, horizon in (
         ("out/c3k-bucket1-60/waiting_df_by_age.tsv", "3000", "7", "0", "42"),
         ("in/law501.tsv", "1000", "3", "10", "300"),
+        ("in/dip.tsv", "500", "13", "0", "5"),
         ("out/messy-bucket1-40/waiting_df_by_age.tsv", "300", "11", "30", "10"),  # a bad window
     ):
         runs.append(["simulate", "--df", df, "--paths", paths, "--seed", seed, "--start", start,
