@@ -6,9 +6,11 @@ Sampling is plain inverse transform with one stepping rule: a draw u on
 (0, 1] at renewal age s leads to the first t with M(s, t) >= u, where M is
 ``TwoTimeMatrix.running_max``, each row's running maximum of F.  A path ends
 once t passes the horizon, or the grid when u exceeds a defective row.
-``sample_path`` bisects M's row tuples one draw at a time, and
-``estimate_renewal_function`` searches a row of M for all live paths at that
-age at once; the rows of M are sorted, so both take the same step.
+``sample_path`` bisects M's row tuples one draw at a time.
+``estimate_renewal_function`` steps all live paths at once: a guide table
+(Chen and Asau's indexed search) puts each draw in one bucket of its row, and
+a bisection runs only where that bucket holds a cell of M.  The rows of M are
+sorted, so both take the same step.
 """
 
 from __future__ import annotations
@@ -89,6 +91,25 @@ def sample_path(
         cur = nxt
 
 
+def _guide_table(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """K and the int32 table G[s, j] = the first t with M(s, t) >= j / K, j = 0..K.
+
+    K is the power of two at or above n - 1, so u * K and j / K are exact and a
+    draw u in (0, 1] lies in bucket b = floor(u K): b / K <= u < (b + 1) / K, or
+    u = 1 at b = K.  Its step then lies in [G[s, b], G[s, b + 1]], where a last
+    column K + 1 repeats column K for u = 1.  With K < 2 (n - 1) the table
+    holds fewer bytes than M.
+    """
+    n = len(M)
+    K = 1 << (n - 2).bit_length()
+    keys = np.arange(K + 1) / K
+    G = np.empty((n, K + 2), dtype=np.int32)
+    for s, row in enumerate(M):
+        G[s, : K + 1] = row.searchsorted(keys, side="left")
+    G[:, K + 1] = G[:, K]
+    return K, G
+
+
 def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstimate:
     """Monte Carlo estimate of H(start, t) for every t up to the horizon.
 
@@ -97,8 +118,11 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     block is drawn and stepped in chunks of about ``_CHUNK_DRAWS`` uniforms,
     each drawn into the same buffer, keeping only integer sums per t:
     renewals, and the growth 2k - 1 of a path's squared count at its k-th
-    renewal.  So memory is bounded by one chunk, a seed fixes the result
-    whatever the chunk size, and the standard errors come from exact sums.
+    renewal.  So memory is bounded by one chunk and a table no larger than F,
+    a seed fixes the result whatever the chunk size, and the standard errors
+    come from exact sums.  Each step looks every live path's draw up in the
+    guide table (see ``_guide_table``) and bisects, a round at a time, only
+    the paths whose bucket leaves more than one candidate.
     """
     start, horizon, n_paths = cfg.start_idx, cfg.horizon_idx, cfg.n_paths
     _check_inputs(F, start, horizon)
@@ -109,6 +133,7 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     reached = np.array([n_paths] + [0] * span, dtype=np.int64)  # paths with >= k renewals
     chunk = min(n_paths, max(1, _CHUNK_DRAWS // span))
     M = F.running_max
+    K, G = _guide_table(M)
     # refilled by each chunk, so that no two draw blocks are ever live at once
     block = np.empty((chunk, span))
     for first in range(0, n_paths, chunk):
@@ -116,13 +141,19 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
         rows = np.arange(len(draws))
         cur = np.full(len(draws), start)
         for step in range(span):
-            # group the live paths by renewal age: one search per distinct age
-            order = np.argsort(cur)
-            rows, cur = rows[order], cur[order]
             u = 1.0 - draws[rows, step]  # uniform on (0, 1]
-            edges = [0, *(np.flatnonzero(cur[1:] != cur[:-1]) + 1), len(cur)]
-            for a, b in zip(edges, edges[1:]):
-                cur[a:b] = M[cur[a]].searchsorted(u[a:b], side="left")
+            b = (u * K).astype(np.intp)
+            age = cur
+            cur, hi = G[age, b], G[age, b + 1]
+            # the step lies in [cur, hi]; bisect where that leaves a choice
+            todo = np.flatnonzero(cur < hi)
+            while len(todo):
+                lo, up = cur[todo], hi[todo]
+                mid = (lo + up) >> 1
+                at_or_above = M[age[todo], mid] >= u[todo]
+                cur[todo] = np.where(at_or_above, lo, mid + 1)
+                hi[todo] = np.where(at_or_above, mid, up)
+                todo = todo[cur[todo] < hi[todo]]
             go = cur <= horizon
             rows, cur = rows[go], cur[go]
             renewed = np.bincount(cur - start, minlength=span)

@@ -22,7 +22,8 @@ def _reference_estimate(F, cfg):
     span = horizon - start + 1
     M = np.maximum.accumulate(F.values, axis=1)
     rng = np.random.default_rng(cfg.seed)
-    draws = 1.0 - rng.random((cfg.n_paths, span))
+    # drawn into a block, as the estimator draws, so that a ``_Draws`` stub can stand in
+    draws = 1.0 - rng.random(out=np.empty((cfg.n_paths, span)))
     counts = np.zeros((cfg.n_paths, span), dtype=np.int32)
     cur = np.full(cfg.n_paths, start, dtype=np.int64)
     active = np.arange(cfg.n_paths)
@@ -93,6 +94,69 @@ def _dipped(F, rng):
 
 def _outputs(est):
     return est.means, est.std_errs, est.terminal_pmf
+
+
+def _path_counts(F, start, horizon, block):
+    """(means, terminal_pmf) counted from ``sample_path`` run on each row of uniforms in ``block``."""
+    hits, counts = np.zeros(horizon - start + 1, dtype=np.int64), []
+    for row in block:
+        path = sample_path(F, start, horizon, _Draws(row))
+        hits[np.array(path, dtype=np.int64) - start] += 1
+        counts.append(len(path))
+    return np.cumsum(hits) / len(block), np.bincount(counts) / len(block)
+
+
+def _edge_df(rng, n):
+    """A law whose cells sit on the estimator's bucket edges j / K, or right beside them.
+
+    K is the power of two at or above n - 1.  Each row takes its cells from
+    the edges, the doubles either side of them and the draws 2**-53 either
+    side of them.  About half the rows are capped at a random edge, which
+    leaves most of those defective, and about half dip by 5e-10, within the
+    slack, right after a cell on an edge.
+    """
+    K = 1 << (n - 2).bit_length()
+    edges = np.arange(1, K + 1) / K
+    beside = [np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), edges - 2.0**-53, edges + 2.0**-53]
+    pool = np.concatenate([edges, *beside])
+    values = np.zeros((n, n))
+    for s in range(n - 1):
+        row = np.sort(rng.choice(pool, size=n - 1 - s))
+        if rng.random() < 0.5:
+            row = np.minimum(row, rng.choice(edges))
+        on_edge = np.flatnonzero(np.isin(row[:-1], edges))
+        if len(on_edge) and rng.random() < 0.5:
+            t = rng.choice(on_edge)
+            row[t + 1] = row[t] - 5e-10
+        values[s, s + 1 :] = row
+    return TwoTimeMatrix(TimeGrid(0.0, 1.0, n), values, "distribution"), edges
+
+
+def _draws_beside(values):
+    """The draws u at each value, one double either side, one 2**-53 step either side, and 1.0.
+
+    A draw is u = 1 - r for the generator's r in [0, 1), so only the u with
+    1 - (1 - u) = u are kept: below 1/2 the draws are multiples of 2**-53,
+    and there the nearest draws beside a value are 2**-53 away.
+    """
+    v = np.unique(values)
+    u = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, 2.0), v - 2.0**-53, v + 2.0**-53, [1.0]])
+    u = u[(u > 0.0) & (u <= 1.0)]
+    return np.unique(u[1.0 - (1.0 - u) == u])
+
+
+def _assert_steps_like_both_references(F, us, windows, rng, monkeypatch):
+    """Every draw in ``us`` starts a path from each window's start; later steps draw from ``us`` at random."""
+    for start, horizon in windows:
+        span = horizon - start + 1
+        block = 1.0 - rng.choice(us, size=(len(us), span))
+        block[:, 0] = 1.0 - us
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(block.ravel()))
+        cfg = SimConfig(len(us), 0, start, horizon)
+        est = _assert_matches_reference(F, cfg)
+        means, pmf = _path_counts(F, start, horizon, block)
+        assert np.array_equal(est.means, means)
+        assert np.array_equal(est.terminal_pmf, pmf)
 
 
 def _unit_step(n):
@@ -204,17 +268,11 @@ def test_estimator_counts_the_paths_that_sample_path_draws_from_its_uniforms():
         start = int(rng.integers(0, n))
         horizon = int(rng.integers(start, n))
         cfg = SimConfig(300, int(rng.integers(2**62)), start, horizon)
-        span = horizon - start + 1
-        block = np.random.default_rng(cfg.seed).random((cfg.n_paths, span))
-        hits = np.zeros(span, dtype=np.int64)
-        counts = []
-        for row in block:
-            path = sample_path(F, start, horizon, _Draws(row))
-            hits[np.array(path, dtype=np.int64) - start] += 1
-            counts.append(len(path))
+        block = np.random.default_rng(cfg.seed).random((cfg.n_paths, horizon - start + 1))
+        means, pmf = _path_counts(F, start, horizon, block)
         est = estimate_renewal_function(F, cfg)
-        assert np.array_equal(est.means, np.cumsum(hits) / cfg.n_paths)
-        assert np.array_equal(est.terminal_pmf, np.bincount(counts) / cfg.n_paths)
+        assert np.array_equal(est.means, means)
+        assert np.array_equal(est.terminal_pmf, pmf)
 
 
 def test_inter_arrival_times_fit_the_geometric_law():
@@ -322,6 +380,7 @@ def _assert_matches_reference(F, cfg):
     # the reference's two-pass float variance differs from the exact one in the last digits
     assert np.array_equal(est.std_errs == 0.0, std_errs == 0.0)
     assert np.allclose(est.std_errs, std_errs, rtol=1e-11, atol=0.0)
+    return est
 
 
 def test_estimator_matches_the_full_matrix_reference():
@@ -368,18 +427,15 @@ def test_estimator_is_invariant_to_the_chunk_size(monkeypatch):
     dip = [0.0, 0.1, 0.3, 0.5, 0.5 - 5e-10, 0.7, 0.9, 1.0]
     F = homogeneous_lift(np.array(dip), TimeGrid(0.0, 1.0, 8))
     block = 1.0 - np.resize([0.6, 0.5 - 2e-10, 0.3, 0.5, 0.5 - 4e-10], (6, 8))
-    hits, counts = np.zeros(8, dtype=np.int64), []
     for row in block:
-        path = sample_path(F, 0, 7, _Draws(row))
-        assert path == _reference_sample_path(F, 0, 7, _Draws(row))
-        hits[path] += 1
-        counts.append(len(path))
+        assert sample_path(F, 0, 7, _Draws(row)) == _reference_sample_path(F, 0, 7, _Draws(row))
+    means, pmf = _path_counts(F, 0, 7, block)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(block.ravel()))
     for chunk_draws in (8, 16, default_chunk):  # 1 and 2 paths per chunk, and all 6 at once
         monkeypatch.setattr(simulate, "_CHUNK_DRAWS", chunk_draws)
         est = estimate_renewal_function(F, SimConfig(6, 0, 0, 7))
-        assert np.array_equal(est.means, np.cumsum(hits) / 6)
-        assert np.array_equal(est.terminal_pmf, np.bincount(counts) / 6)
+        assert np.array_equal(est.means, means)
+        assert np.array_equal(est.terminal_pmf, pmf)
 
 
 def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):
@@ -399,3 +455,53 @@ def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):
     assert big <= 2 * peak(4_000)
     # one (256, 30) draw block live at a time: each chunk refills the same buffer
     assert big <= 1.6 * 256 * 30 * 8
+
+
+def test_estimator_steps_like_both_references_on_draws_at_and_beside_bucket_edges(monkeypatch):
+    # draws on each edge j / K, beside it, on and beside each cell (so in each dip's
+    # window), 1.0 and past each defective total; from every start, to the last point
+    # and with start = horizon
+    rng = np.random.default_rng(113)
+    for n in (2, 3, 5, 7, 9, 12, 17, 24):
+        F, edges = _edge_df(rng, n)
+        us = _draws_beside(np.concatenate([edges, F.values.ravel()]))
+        assert set(edges) <= set(us)
+        windows = [(s, h) for s in range(n) for h in {n - 1, s}]
+        _assert_steps_like_both_references(F, us, windows, rng, monkeypatch)
+
+
+def test_estimator_steps_like_both_references_on_cells_just_below_the_grid_fractions(monkeypatch):
+    # uniform lags nudged one double down, F(s, s + k) = nextafter(k / (n - 1), 0), with
+    # draws on and beside each cell: here u (n - 1) rounds up to k for some cells u, so
+    # a table of n - 1 buckets would start the search past the step
+    rng = np.random.default_rng(137)
+    for n in (7, 11, 13, 21, 24, 25):
+        lag_df = np.nextafter(np.arange(n) / (n - 1), 0.0)
+        lag_df[0] = 0.0
+        F = homogeneous_lift(lag_df, TimeGrid(0.0, 1.0, n))
+        us = _draws_beside(F.values)
+        _assert_steps_like_both_references(F, us, [(0, n - 1), (n // 2, n - 1)], rng, monkeypatch)
+
+
+def test_estimator_bisects_a_bucket_of_over_100_points(monkeypatch):
+    # the geometric law at n = 201 (K = 256) puts lags 20 to ~127 of each row
+    # in its top bucket [255/256, 1); draws on and beside each of those cells and 1.0
+    F = geometric_law(0.25, 200)
+    top = F.values[0][(F.values[0] >= 255 / 256) & (F.values[0] < 1.0)]
+    assert len(top) > 100
+    us = _draws_beside(top)
+    _assert_steps_like_both_references(F, us, [(0, 200), (150, 200)], np.random.default_rng(127), monkeypatch)
+
+
+def test_estimator_memory_is_bounded_by_the_chunk_and_the_law(monkeypatch):
+    # at n = 300 the guide table, 300 x 514 int32 cells, is most of the working memory
+    F = random_defective_df(np.random.default_rng(131), 300)
+    F.running_max  # F's own cached view, built before tracing
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 300 * 64)
+    tracemalloc.start()
+    try:
+        estimate_renewal_function(F, SimConfig(2_000, 3, 0, 299))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 300 * 8 + F.values.nbytes

@@ -66,7 +66,7 @@ json.dump(results, sys.stdout)
 
 
 def write_inputs(where: Path) -> None:
-    """The corpora and the fine law every invocation reads, written once for both trees."""
+    """The corpora and the laws every invocation reads, written once for both trees."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import inputs
 
@@ -90,6 +90,7 @@ def write_inputs(where: Path) -> None:
         (where / name / "policies.csv").write_text(MESSY_POLICIES + policies)
         (where / name / "claims.csv").write_text(MESSY_CLAIMS + claims)
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
+    write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
     (where / "dip.tsv").write_text(_DIPPED_LAW)
 
 
@@ -123,6 +124,7 @@ def invocations() -> list[list[str]]:
     for df, paths, seed, start, horizon in (
         ("out/c3k-bucket1-60/waiting_df_by_age.tsv", "3000", "7", "0", "42"),
         ("in/law501.tsv", "1000", "3", "10", "300"),
+        ("in/law201.tsv", "100000", "17", "0", "200"),  # 2e7 draws: 20 chunks
         ("in/dip.tsv", "500", "13", "0", "5"),
         ("out/messy-bucket1-40/waiting_df_by_age.tsv", "300", "11", "30", "10"),  # a bad window
     ):
