@@ -6,30 +6,27 @@ integer completed years, age 18 is grid index 0, and entry ages at or past
 the pooling cap (default 60) are compiled together.
 
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
-(policy, age) with one in-place stable sort of a one-key buffer, whose cost
-follows the input order: it is least when each policy's claims are adjacent,
-as the synthetic corpora write them.  Every count table is an
-``np.bincount``, of the capped entry ages or summed over blocks of claims.
+(policy, age) with one in-place sort of a one-key buffer.  Every count table
+is an ``np.bincount``, of the capped entry ages or summed over blocks of claims.
 
 Past the record columns themselves, the working memory of cleaning,
 checking and counting is set by one block of ``_CLAIM_BLOCK`` claims and a
-few policy-length arrays, not by the claims: the cleaner, compacting the kept
-claims into the buffers it read them into, and the claim tables step through
-the same blocks of whole policies, and the record checks run block by block.
-The stable sort's merge buffer is the exception: it is small when the input
-is nearly in order, as the synthetic corpora are, and grows towards half the
-key column when it is not.
+few policy-length arrays, not by the claims or their order: the sort needs
+no buffer, the cleaner compacts the kept claims into the buffers it read them
+into, the claim tables step through the same blocks of whole policies, and
+the record checks run block by block.
 
-:func:`ingest` reads each CSV in blocks of about 8 KiB of whole lines.  A
+:func:`ingest` reads each CSV once, in blocks of about 8 KiB of whole lines.  A
 block of plain ``id,age`` lines is split on its commas in one pass, its ids
 go through the policy index in one ``map`` and its ages through one
 ``np.fromiter`` over a table of the canonical age texts (or, if any text is
 off that table, through :func:`_parse_age`), and the results are appended to
 flat ``array("q")`` columns.  From the first block that is not plain (a
-blank, padded, quoted or ragged line, mixed line ends, or more than the csv
-field limit), ``csv`` reads the rest of the file.  A block that fails any
-check is walked again row by row, only to raise: each error names the file
-and the physical line of the first failing record, whichever check it fails.
+blank, padded, quoted or ragged line, mixed line ends, a byte that is not
+UTF-8, or more than the csv field limit), ``csv`` reads the rest of the file.
+A block that fails any check is walked again row by row, only to raise: each
+error names the file and the physical line of the first failing record,
+whichever check it fails.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import csv
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice, pairwise, repeat
+from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +76,8 @@ _BLOCK = 1 << 13
 #: comma, and every byte of a non-ASCII character (``_split`` tests those apart)
 _FIELD_BYTES = bytes(b for b in range(0x21, 0x100) if b not in b'",\x7f')
 
-#: each age in 0..MAX_AGE by its canonical text
-_AGE_OF = {str(i): i for i in range(MAX_AGE + 1)}
+#: each age in 0..MAX_AGE by its canonical text, clamped as :func:`_parse_age` clamps it
+_AGE_OF = {str(i): max(i, BASE_AGE - 1) for i in range(MAX_AGE + 1)}
 
 #: characters of an age echoed in its error message
 _ECHO = 32
@@ -127,7 +124,9 @@ class ClaimRecords:
     ``policy_ids`` and ``entry_age`` have one entry per retained policy;
     ``claim_policy`` (index into the policy columns) and ``claim_age`` have
     one entry per retained claim, sorted by (policy, age).  Entry ages are
-    at least ``BASE_AGE`` and no claim predates its policy's entry.
+    at least ``BASE_AGE`` and no claim predates its policy's entry.  The
+    columns are frozen in place, not copied: a copy would double
+    :func:`ingest`'s claim columns.
     """
 
     policy_ids: tuple[str, ...]
@@ -237,7 +236,7 @@ def ingest(
     p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
     p *= MAX_AGE + 1
     p += c
-    p.sort(kind="stable")  # fastest when each policy's claims are adjacent
+    p.sort()  # in place, with no merge buffer, whatever the order of the claims
     np.divmod(p, MAX_AGE + 1, out=(p, c))
     # compact the kept claims block by block to the front of the same buffers: the cuts are
     # all found before the first move, and a block's kept claims move to at most its start
@@ -261,48 +260,39 @@ def ingest(
 def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
     """(physical line numbers, ids, ages) per block of records after the header.
 
-    The file is UTF-8, with or without a byte-order mark.  It is read in
-    blocks of about ``_BLOCK`` characters of whole lines, and each block of
-    plain ``id,age`` lines (see :func:`_split`) is split in one pass.  From
-    the first block that is not plain or does not decode, ``csv`` reads the
-    rest of the file from a fresh handle, since a quoted field may run on
-    into the next block and ``readlines`` loses the lines of a block it
-    cannot decode.  Both handles decode the file in the same chunks as one
-    read by ``csv`` alone, so an undecodable byte is found at the same line
-    and position.
+    The file is UTF-8, with or without a byte-order mark, and is opened once.
+    It decodes with ``surrogateescape``, so a byte that is not UTF-8 reads as
+    one escaped character, and the record holding it fails at its line (see
+    :func:`_csv_records`).  The file is read in blocks of about ``_BLOCK``
+    characters of whole lines, and each block of plain ``id,age`` lines (see
+    :func:`_split`) is split in one pass.  From the first block that is not
+    plain, ``csv`` reads that block's lines and then the rest of the same
+    handle, since a quoted field may run on into the next block.
     Fields are stripped, blank lines are skipped but counted, and a record
     whose quoted field spans lines is numbered by its last line.  A ragged
     row, a ``csv`` error or an undecodable byte is raised only after the
     records before it have been yielded.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                first = next(reader, None)
-            except csv.Error as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            if first is None:
-                raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
-            if tuple(x.strip() for x in first) != header:
-                raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
-            line, limit = reader.line_num, csv.field_size_limit()
-            while True:
-                try:
-                    text = "".join(fh.readlines(_BLOCK))
-                except UnicodeDecodeError:  # the lines read before the bad byte are lost
-                    break
-                if not text:
-                    return
-                fields = _split(text, limit)
-                if fields is None:
-                    break
-                yield range(line + 1, line + 1 + len(fields[0])), *fields
-                line += len(fields[0])
-        with open(path, newline="", encoding="utf-8-sig") as again:
-            yield from _csv_records(path, islice(again, line, None), line)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        if first is None:
+            raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
+        if bad := _undecodable(first):
+            raise ValueError(f"{path}:{reader.line_num}: {bad}")
+        if tuple(x.strip() for x in first) != header:
+            raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
+        line, limit = reader.line_num, csv.field_size_limit()
+        while lines := fh.readlines(_BLOCK):
+            fields = _split("".join(lines), limit)
+            if fields is None:
+                yield from _csv_records(path, chain(lines, fh), line)
+                return
+            yield range(line + 1, line + 1 + len(fields[0])), *fields
+            line += len(fields[0])
 
 
 def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
@@ -319,7 +309,8 @@ def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
         return None
     end = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
     last = not text.endswith(end)  # the last line of the file may have no line end
-    if text.encode().translate(None, _FIELD_BYTES) != (b"," + end.encode()) * text.count(end) + b"," * last:
+    data = text.encode(errors="surrogateescape")  # an escaped byte is not printable, so fails below
+    if data.translate(None, _FIELD_BYTES) != (b"," + end.encode()) * text.count(end) + b"," * last:
         return None
     if not (text.isascii() or text.replace(end, "").isprintable()):
         return None
@@ -333,7 +324,8 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[
     """The records ``csv`` reads from ``lines``, which start after physical line ``line``.
 
     Yields (line numbers, ids, ages) in batches of a block's worth of rows,
-    then raises what stopped the reader, if anything.
+    then raises what stopped the reader, if anything: a ``csv`` error, a
+    byte that is not UTF-8 or a row without two fields, checked in that order.
     """
     reader = csv.reader(lines)
     nums: list[int] = []
@@ -344,8 +336,9 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[
         for row in reader:
             if not row:
                 continue
-            if len(row) != 2:
-                fault = ValueError(f"{path}:{line + reader.line_num}: expected 2 fields, got {len(row)}")
+            bad = _undecodable(row) or (len(row) != 2 and f"expected 2 fields, got {len(row)}")
+            if bad:
+                fault = ValueError(f"{path}:{line + reader.line_num}: {bad}")
                 break
             nums.append(line + reader.line_num)
             ids.append(row[0].strip())
@@ -355,15 +348,20 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[
                 nums, ids, ages = [], [], []
     except csv.Error as exc:
         fault = ValueError(f"{path}:{line + reader.line_num}: {exc}")
-    except UnicodeDecodeError as exc:
-        fault = exc
     yield nums, ids, ages
     if fault is not None:
         raise fault
 
 
+def _undecodable(fields: list[str]) -> str:
+    """The fault of a record holding a byte b that is not UTF-8, which decodes as U+DC00 + b, or ""."""
+    text = "".join(fields)
+    bad = "" if text.isascii() else next((ch for ch in text if "\udc80" <= ch <= "\udcff"), "")
+    return bad and f"byte {ord(bad) - 0xDC00:#04x} is not UTF-8"
+
+
 def _bulk_ages(texts: list[str]) -> np.ndarray | None:
-    """The ages of a block of texts, each in 0..``MAX_AGE``, or None if any text is not an age.
+    """The ages of a block of texts, clamped as by :func:`_parse_age`, or None if any is not an age.
 
     A block of canonical texts, ``str(i)`` for i in 0..``MAX_AGE``, is read
     from a table; a block with any other text (a sign, a leading zero, or one
@@ -409,7 +407,7 @@ class DurationHistogram:
     source: str = "merged"
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)  # a private copy, frozen below
         if c.ndim != 1 or len(c) < 1 or c[0] != 0:
             raise ValueError("counts must be a 1-d array with counts[0] = 0")
         if np.any(c < 0):
@@ -499,7 +497,7 @@ class OccurrenceTable:
     dropped_beyond_cap: int = 0
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)  # a private copy, frozen below
         n = self.cap_age - BASE_AGE + 1
         if c.shape != (n, n):
             raise ValueError(f"counts shape {c.shape} does not match age range ({n}, {n})")

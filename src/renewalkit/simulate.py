@@ -59,6 +59,12 @@ class RenewalEstimate:
     n_paths: int = 0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("means", "std_errs", "terminal_pmf"):
+            a = np.array(getattr(self, name))  # a private copy, read-only like the dataclass
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
     def t_indices(self) -> np.ndarray:
         return np.arange(self.start_idx, self.horizon_idx + 1)
 

@@ -74,7 +74,7 @@ class CountingPmf:
     truncation_mass: float
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64)  # a private copy, frozen below
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         if np.any(p < 0.0):

@@ -1,5 +1,10 @@
 import csv
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,13 +175,42 @@ def test_ingest_reads_utf8_with_or_without_a_byte_order_mark(csv_writer, tmp_pat
 
 def test_ingest_names_a_file_that_is_not_utf8(csv_writer, tmp_path):
     p, c = csv_writer([("A", 24)], [("A", 30)])
-    bad_policies, bad_claims = tmp_path / "bad_policies.csv", tmp_path / "bad_claims.csv"
-    bad_policies.write_bytes(b"policy_id,entry_age\nA,24\nB,\xff5\n")
-    bad_claims.write_bytes(b"policy_id,claim_age\nA,\xff30\n")
-    with pytest.raises(ValueError, match=r"^\S*bad_policies\.csv: 'utf-8' codec can't decode byte 0xff"):
-        ingest(bad_policies, c)
-    with pytest.raises(ValueError, match=r"^\S*bad_claims\.csv: 'utf-8' codec can't decode byte 0xff"):
-        ingest(p, bad_claims)
+    cases = [
+        (b"policy_id,entry_age\nA,24\nB,\xff5\n", "3: byte 0xff is not UTF-8"),
+        (b"policy_id,entry_age\nA,24\n\xc3(,25\n", "3: byte 0xc3 is not UTF-8"),  # a lead byte, then ASCII
+        (b"\xef\xbb\xbfpolicy_id,entry_\x80age\nA,24\n", "1: byte 0x80 is not UTF-8"),  # in the header
+        (b'policy_id,entry_age\nA,24\n"B\n\xfe",25\n', "4: byte 0xfe is not UTF-8"),  # by the record's last line
+        (b"policy_id,entry_age\nA,24\nB,25,\xe2\n", "3: byte 0xe2 is not UTF-8"),  # before the fields are counted
+    ]
+    for i, (data, want) in enumerate(cases):
+        for file in ("policies", "claims"):
+            bad = tmp_path / f"bad_{file}{i}.csv"
+            if file == "claims":
+                data = data.replace(b"entry_", b"claim_").replace(b"A,24", b"A,30")
+            bad.write_bytes(data)
+            for read in (ingest, _reference_ingest):
+                with pytest.raises(ValueError) as exc:
+                    read(*((bad, c) if file == "policies" else (p, bad)))
+                assert str(exc.value) == f"{bad}:{want}"
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1 << 13, 64])
+def test_ingest_opens_each_file_once(csv_writer, tmp_path, monkeypatch, block):
+    # the first block that is not plain is the file's last, so csv takes over from its lines
+    monkeypatch.setattr(claims, "_BLOCK", block)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(claims, "open", counting_open, raising=False)
+    rows = [(f"P{i}", 20 + i % 50) for i in range(200)]
+    p, c = csv_writer(rows, [])
+    c.write_text(c.read_text() + "".join(f"P{i},30\r\n" for i in range(200)) + 'P0," 31"\r\n')
+    records, report = ingest(p, c)
+    assert opened == [p, c]
+    assert report.claims_read == 201 and _triples(records)[0] == ("P0", 20, (30, 31))
 
 
 def test_ingest_reads_an_age_as_a_sign_and_ascii_digits(csv_writer, tmp_path):
@@ -211,6 +245,16 @@ def test_ingest_reads_an_age_as_a_sign_and_ascii_digits(csv_writer, tmp_path):
     )
 
 
+def test_an_age_block_reads_the_same_through_the_table_and_through_parse_age():
+    # a sign sends a block off the table of canonical texts, through _parse_age
+    texts = [str(age) for age in range(MAX_AGE + 1)]
+    by_table = claims._bulk_ages(texts).tolist()
+    assert by_table == [claims._parse_age(text, "", 0) for text in texts]
+    assert by_table == [max(age, BASE_AGE - 1) for age in range(MAX_AGE + 1)]
+    assert claims._bulk_ages([*texts, "+0"]).tolist() == [*by_table, BASE_AGE - 1]
+    assert claims._bulk_ages(["5", "30"]).tolist() == claims._bulk_ages(["5", "+30"]).tolist() == [17, 30]
+
+
 def test_ingest_strips_non_ascii_whitespace(csv_writer):
     # str.strip removes a no-break or ideographic space, so such a block is not split plainly
     p, c = csv_writer([("\u00a0A", 24), ("B\u3000", 30)], [("A\u00a0", "\u3000" + "31")])
@@ -235,7 +279,7 @@ def test_a_csv_error_names_its_file_and_line(csv_writer, quoted, file):
 
 @pytest.mark.parametrize("block", [1 << 16, 1 << 13, 64])
 def test_ingest_checks_the_lines_before_an_undecodable_byte(csv_writer, tmp_path, monkeypatch, block):
-    # the bad byte lies in a later decoded chunk than line 3, in its block or a later one
+    # the bad byte lies 5000 lines after line 3, in its block or a later one
     monkeypatch.setattr(claims, "_BLOCK", block)
     p, _ = csv_writer([("A", 24)], [])
     bad = tmp_path / "bad.csv"
@@ -244,12 +288,10 @@ def test_ingest_checks_the_lines_before_an_undecodable_byte(csv_writer, tmp_path
         with pytest.raises(ValueError, match=r"^\S*bad\.csv:3: malformed age 'old'$"):
             read(p, bad)
     bad.write_bytes(b"policy_id,claim_age\nA,30\n" + b"A,31\r\n" * 5000 + b"A,\xff\nA,old\n")
-    messages = set()
     for read in (ingest, _reference_ingest):
-        with pytest.raises(ValueError, match=r"^\S*bad\.csv: 'utf-8' codec can't decode byte 0xff") as exc:
+        with pytest.raises(ValueError) as exc:
             read(p, bad)
-        messages.add(str(exc.value))
-    assert len(messages) == 1
+        assert str(exc.value) == f"{bad}:5003: byte 0xff is not UTF-8"
 
 
 @pytest.mark.parametrize("block", [1 << 16, 8], ids=["one-block", "block-per-line"])
@@ -756,6 +798,45 @@ def test_build_df_memory_is_bounded_by_a_block(tmp_path):
     assert no_claim_peak <= held + 3 * 8 * len(records.entry_age)
 
 
+# ingest in a fresh process; its ru_maxrss rise in KiB, from its imports to its return
+_INGEST_RISE = """
+import resource, sys
+from renewalkit.claims import ingest
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ingest(sys.argv[1], sys.argv[2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB and glibc's malloc settings")
+def test_ingest_memory_does_not_depend_on_the_claim_order(tmp_path):
+    # 5.6e5 claims of 8e4 policies, grouped by policy and then shuffled; a sort with a merge
+    # buffer (numpy's stable sort, outside tracemalloc) rises 1.4 MB more on the shuffled file
+    rng = np.random.default_rng(11)
+    entry = BASE_AGE + rng.integers(0, 30, 80_000)
+    owner = np.repeat(np.arange(len(entry)), rng.integers(0, 15, len(entry)))
+    lines = [f"P{i},{a}\n" for i, a in zip(owner.tolist(), (entry[owner] + rng.integers(0, 60, len(owner))).tolist())]
+    policies = tmp_path / "policies.csv"
+    policies.write_text("policy_id,entry_age\n" + "".join(f"P{i},{e}\n" for i, e in enumerate(entry.tolist())))
+    src = str(Path(claims.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # glibc moves its mmap threshold as large blocks are freed, and so where the growing read
+    # buffers land; that moved the rise by up to 2 MB from run to run, so the threshold is fixed
+    env["MALLOC_MMAP_THRESHOLD_"] = "131072"
+    rise = {}
+    for order in ("grouped", "shuffled"):
+        if order == "shuffled":
+            rng.shuffle(lines)
+        claims_file = tmp_path / f"{order}.csv"
+        claims_file.write_text("policy_id,claim_age\n" + "".join(lines))
+        # a child inherits its parent's ru_maxrss at exec, so the child of a forked shell starts low
+        proc = subprocess.run(["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-c", _INGEST_RISE,
+                               str(policies), str(claims_file)], capture_output=True, text=True, env=env, check=True)
+        rise[order] = int(proc.stdout) / 1024
+    assert len(lines) >= 500_000 and rise["grouped"] > 10  # the records alone are 9 MB
+    assert rise["shuffled"] <= rise["grouped"] + 0.5, rise
+
+
 # -- the per-row ingest the block parse replaced, kept as its oracle --
 
 
@@ -808,25 +889,31 @@ def _reference_ingest(policies_file, claims_file, cleaning=CleaningConfig()):
 
 
 def _reference_rows(path, header):
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                first = next(reader, None)
-                if first is None:
-                    raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
-                if tuple(x.strip() for x in first) != header:
-                    raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
-                for row in reader:
-                    if not row:
-                        continue
-                    if len(row) != 2:
-                        raise ValueError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-                    yield reader.line_num, (row[0].strip(), row[1].strip())
-            except csv.Error as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
+            _reference_bytes(path, reader.line_num, first)
+            if tuple(x.strip() for x in first) != header:
+                raise ValueError(f"{path}:1: expected header {','.join(header)}, got {first}")
+            for row in reader:
+                if not row:
+                    continue
+                _reference_bytes(path, reader.line_num, row)
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+                yield reader.line_num, (row[0].strip(), row[1].strip())
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _reference_bytes(path, lineno, row):
+    """Fail a record holding a byte that is not UTF-8, which surrogateescape reads as U+DC00 + byte."""
+    for ch in "".join(row):
+        if 0xDC80 <= ord(ch) <= 0xDCFF:
+            raise ValueError(f"{path}:{lineno}: byte 0x{ord(ch) - 0xDC00:02x} is not UTF-8")
 
 
 # ids that need quoting (a comma, a quote, a line end inside) or the csv route
@@ -844,7 +931,12 @@ _CLAIM_AGES = [str(a) for a in range(15, 80, 7)] + [
     "+40", "-1", "040", "150", "0", "17", "-0", "-9223372036854775808", *_EDGE_AGES
 ]
 _BAD_AGES = ["abc", "2_4", "٢٤", "２４", "1.5", "+", "9" * 40, "99999999999999999999"]
-_FAULTS = ["ragged", "ragged pair", "bad age", "over age", "duplicate", "unknown", "whitespace line"]
+_FAULTS = [
+    "ragged", "ragged pair", "bad age", "over age", "duplicate", "unknown", "whitespace line", "undecodable byte"
+]
+# bytes that are not UTF-8 where they stand: lone continuation bytes, lead bytes before ASCII, and
+# bytes that never occur in UTF-8; written with surrogateescape as U+DC00 + byte
+_BAD_BYTES = [chr(0xDC00 + b) for b in (0x80, 0xBF, 0xC3, 0xE2, 0xF0, 0xFF)]
 
 
 def _write_field(draw, text, messy):
@@ -865,6 +957,9 @@ def _fault_row(draw, fault, ids, policies):
         "duplicate": f"{ids[0] if ids else 'P0'},30",
         "unknown": "ZZ,30",
         "whitespace line": draw(st.sampled_from([" ", "\t", "  "])),
+        "undecodable byte": draw(
+            st.sampled_from([f"{owner},3{{}}", f"{{}}{owner},30", f"{owner},\"{{}}\"", f"{owner},30,{{}}"])
+        ).format(draw(st.sampled_from(_BAD_BYTES))),
     }[fault]
 
 
@@ -873,7 +968,8 @@ def _corpora(draw):
     """(policies text, claims text) with up to two faults.
 
     A plain corpus is what ``csv.writer`` writes, with one line end; a messy
-    one mixes line ends, blank lines, padded and quoted fields.
+    one mixes line ends, blank lines, padded and quoted fields.  The texts
+    are to be written with ``errors="surrogateescape"``.
     """
     messy = draw(st.booleans())
     ids = draw(st.lists(st.sampled_from(_IDS if messy else _PLAIN_IDS), unique=True, max_size=8))
@@ -928,13 +1024,17 @@ def test_block_parse_matches_the_per_row_reference(tmp_path, corpus, block, limi
     # tiny blocks put records, faults and quoted line ends in later blocks and on block edges
     paths = tmp_path / "policies.csv", tmp_path / "claims.csv"
     for path, text in zip(paths, corpus):
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     cleaning = CleaningConfig(zero_duration=zero_duration)
     default_limit = csv.field_size_limit()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(claims, "_BLOCK", block)
         try:
             csv.field_size_limit(limit or default_limit)
-            assert _outcome(ingest, *paths, cleaning) == _outcome(_reference_ingest, *paths, cleaning)
+            outcome = _outcome(ingest, *paths, cleaning)
+            assert outcome == _outcome(_reference_ingest, *paths, cleaning)
         finally:
             csv.field_size_limit(default_limit)
+    # every fault names its file and line
+    where = "|".join(re.escape(str(path)) for path in paths)
+    assert not isinstance(outcome, str) or re.match(rf"({where}):\d+: ", outcome)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -29,12 +30,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = ("exact", "rect-right", "rect-left", "trapezoid", "simpson")
-#: rows added to the policies and claims of the messy corpus, each making build-df fail
+#: rows added to the policies and claims of the messy corpus, each making build-df fail; they are
+#: written with surrogateescape, so U+DCFF is the byte 0xff, which is not UTF-8
 _FAULTS = {
     "bad-age": ("", "P9,4o\n"),
     "unknown": ("", "ZZ,30\n"),
     "duplicate": ("P9,41\n", ""),
     "ragged": ("", "P1,30,31\n"),
+    "byte-policies": ("N9,4\udcff1\n", ""),
+    "byte-claims": ("", "P1,3\udcff0\n"),
 }
 
 #: the ways the signed corpus writes its ages in turn; a sign or a leading zero puts an age off
@@ -75,6 +79,11 @@ def write_inputs(where: Path) -> None:
 
     truth = inputs.generating_df(43, 1.0)
     inputs.write_synthetic_corpus(truth, 10_000, 9, where / "c10k")  # ~78k claims: cuts between claim blocks
+    (where / "c10k-shuffled").mkdir()  # the same claims in no order, as a claims file in date order is
+    shutil.copy(where / "c10k" / "policies.csv", where / "c10k-shuffled" / "policies.csv")
+    header, *rows = (where / "c10k" / "claims.csv").read_bytes().splitlines(keepends=True)
+    random.Random(10).shuffle(rows)
+    (where / "c10k-shuffled" / "claims.csv").write_bytes(b"".join([header, *rows]))
     inputs.write_synthetic_corpus(truth, 3000, 5, where / "c3k")
     inputs.write_synthetic_corpus(truth, 15, 1, where / "c15")
     (where / "signed").mkdir()
@@ -87,8 +96,8 @@ def write_inputs(where: Path) -> None:
         (where / "signed" / name).write_text(f"{header}\n{body}{extra}")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
-        (where / name / "policies.csv").write_text(MESSY_POLICIES + policies)
-        (where / name / "claims.csv").write_text(MESSY_CLAIMS + claims)
+        for file, text in (("policies.csv", MESSY_POLICIES + policies), ("claims.csv", MESSY_CLAIMS + claims)):
+            (where / name / file).write_text(text, encoding="utf-8", errors="surrogateescape")
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
     write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
     (where / "dip.tsv").write_text(_DIPPED_LAW)
@@ -107,6 +116,8 @@ def invocations() -> list[list[str]]:
         for cap in ("60", "40"):
             runs.append(["build-df", "--policies", "in/c10k/policies.csv", "--claims", "in/c10k/claims.csv",
                          "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
+        runs.append(["build-df", "--policies", "in/c10k-shuffled/policies.csv", "--claims",
+                     "in/c10k-shuffled/claims.csv", "--out-dir", f"out/c10k-shuffled-{mode}", "--zero-duration", mode])
     for mode in ("bucket1", "discard"):
         runs.append(["build-df", "--policies", "in/signed/policies.csv", "--claims", "in/signed/claims.csv",
                      "--out-dir", f"out/signed-{mode}", "--zero-duration", mode])
