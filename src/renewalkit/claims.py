@@ -6,24 +6,25 @@ integer completed years, age 18 is grid index 0, and entry ages at or past
 the pooling cap (default 60) are compiled together.
 
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
-(policy, age) with one in-place sort of a one-key buffer.  Every count table
+(policy, age) with one in-place sort of a one-key column.  Every count table
 is an ``np.bincount``, of the capped entry ages or summed over blocks of claims.
 
 Past the record columns themselves, the working memory of cleaning,
 checking and counting is set by one block of ``_CLAIM_BLOCK`` claims and a
-few policy-length arrays, not by the claims or their order: the sort needs
-no buffer, the cleaner compacts the kept claims into the buffers it read them
-into, the claim tables step through the same blocks of whole policies, and
-the record checks run block by block.
+few policy-length arrays, not by the claims or their order: each kept claim
+is stored once, as its (policy, age) key, the sort needs no buffer, the
+same-age rule compacts the sorted keys in place, the claim tables step
+through blocks of whole policies, and the record checks run block by block.
 
 :func:`ingest` reads each CSV once, in blocks of about 8 KiB of whole lines.  A
 block of plain ``id,age`` lines is split on its commas in one pass, its ids
 go through the policy index in one ``map`` and its ages through one
 ``np.fromiter`` over a table of the canonical age texts (or, if any text is
-off that table, through :func:`_parse_age`), and the results are appended to
-flat ``array("q")`` columns.  From the first block that is not plain (a
-blank, padded, quoted or ragged line, mixed line ends, a byte that is not
-UTF-8, or more than the csv field limit), ``csv`` reads the rest of the file.
+off that table, through :func:`_parse_age`), and each kept claim is appended
+to one flat ``array("q")`` column as its key.  From the first block that is
+not plain (a blank, padded, quoted or ragged line, a non-ASCII character,
+CR-only or mixed line ends, a byte that is not UTF-8, or more than the csv
+field limit), ``csv`` reads the rest of the file.
 A block that fails any check is walked again row by row, only to raise: each
 error names the file and the physical line of the first failing record,
 whichever check it fails.
@@ -72,9 +73,8 @@ TRANSITIONS = ("entry-to-first", "first-to-second", "second-to-third", "merged")
 #: field strings fit in the free space of the small-object heap, not in new arenas
 _BLOCK = 1 << 13
 
-#: the UTF-8 bytes a plain field may hold: printable ASCII but space, quote and
-#: comma, and every byte of a non-ASCII character (``_split`` tests those apart)
-_FIELD_BYTES = bytes(b for b in range(0x21, 0x100) if b not in b'",\x7f')
+#: the bytes a plain field may hold: printable ASCII but space, quote and comma
+_FIELD_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b'",')
 
 #: each age in 0..MAX_AGE by its canonical text, clamped as :func:`_parse_age` clamps it
 _AGE_OF = {str(i): max(i, BASE_AGE - 1) for i in range(MAX_AGE + 1)}
@@ -190,11 +190,15 @@ def ingest(
     once; a block that fails any check is first walked row by row, only to
     raise at the first failing line, whichever check it fails.  A malformed
     age on a rejected policy's claim is not read, so it does not fail.
+    A kept claim (not before its entry, nor at it under "discard") is stored
+    once, as the key ``policy * (MAX_AGE + 1) + age``; after one in-place sort,
+    "discard" keeps the first of each run of equal keys, and one ``np.divmod``
+    decodes the keys into ``claim_policy``, in place, and ``claim_age``.
     """
     report = IngestReport()
     index: dict[str, int] = {}  # policy id -> column index, -1 if rejected
     ids: list[str] = []
-    entries, owners, ages = array("q"), array("q"), array("q")
+    entries, keys = array("q"), array("q")
 
     blank = str(cleaning.impute_entry_age)  # read in place of a blank entry age
     for linenos, pids, texts in _records(policies_file, ("policy_id", "entry_age")):
@@ -215,6 +219,8 @@ def ingest(
         ids.extend(compress(pids, keep.tolist()))
         entries.frombytes(entry[keep].tobytes())
 
+    entry = np.asarray(entries, dtype=np.int64)
+    late = cleaning.zero_duration == "discard"  # a claim at its entry age is dropped too
     for linenos, pids, texts in _records(claims_file, ("policy_id", "claim_age")):
         owner = np.fromiter(map(index.get, pids, repeat(-2)), np.int64, len(pids))  # -2: unknown
         kept = owner >= 0
@@ -227,34 +233,28 @@ def ingest(
                 if index[pid] >= 0:
                     _parse_age(text, claims_file, lineno)
         report.claims_read += len(pids)
-        owners.frombytes(owner[kept].tobytes())
-        ages.frombytes(age.tobytes())
+        owner = owner[kept]
+        keep = age >= entry[owner] + late
+        # each claim as one key; every age read is in 0..MAX_AGE, so the key decodes exactly
+        keys.frombytes((owner[keep] * (MAX_AGE + 1) + age[keep]).tobytes())
 
-    entry = np.asarray(entries, dtype=np.int64)
-    # each claim as one key, policy * (MAX_AGE + 1) + age, in the buffers it was read into;
-    # every age read is in 0..MAX_AGE, so the key decodes exactly
-    p, c = np.asarray(owners, dtype=np.int64), np.asarray(ages, dtype=np.int64)
-    p *= MAX_AGE + 1
-    p += c
+    p = np.asarray(keys, dtype=np.int64)
     p.sort()  # in place, with no merge buffer, whatever the order of the claims
+    if late:  # of each run of same-age claims keep the first, compacted block by block in place
+        kept = 0
+        for lo in range(0, len(p), _CLAIM_BLOCK):
+            block = p[lo : lo + _CLAIM_BLOCK]
+            # the carry, p[lo - 1], is read before this block's kept keys may be written over it
+            first = np.diff(block, prepend=p[lo - 1] if lo else -1) != 0
+            size = int(np.count_nonzero(first))
+            p[kept : kept + size] = block[first]
+            kept += size
+        p = p[:kept]
+    c = np.empty_like(p)
     np.divmod(p, MAX_AGE + 1, out=(p, c))
-    # compact the kept claims block by block to the front of the same buffers: the cuts are
-    # all found before the first move, and a block's kept claims move to at most its start
-    kept = 0
-    for lo, hi in _policy_blocks(p):
-        bp, bc = p[lo:hi], c[lo:hi]
-        if cleaning.zero_duration == "discard":
-            keep = bc > entry[bp]
-            keep[1:] &= (bp[1:] != bp[:-1]) | (bc[1:] != bc[:-1])  # not the second of a same-age pair
-        else:
-            keep = bc >= entry[bp]
-        n = int(np.count_nonzero(keep))
-        p[kept : kept + n] = bp[keep]
-        c[kept : kept + n] = bc[keep]
-        kept += n
-    report.claims_retained = kept
+    report.claims_retained = len(p)
     report.claims_discarded = report.claims_read - report.claims_retained
-    return ClaimRecords(tuple(ids), entry, p[:kept], c[:kept]), report
+    return ClaimRecords(tuple(ids), entry, p, c), report
 
 
 def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
@@ -298,21 +298,18 @@ def _records(path: str | Path, header: tuple[str, str]) -> Iterator[_Block]:
 def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
     """The ids and ages of a block of plain ``id,age`` lines, or None if it needs ``csv``.
 
-    A plain block ends all its lines alike, with LF, CR LF or CR.
+    A plain block is ASCII and ends all its lines alike, with LF or CR LF.
     A plain line holds one comma and otherwise only printable characters
     other than space and quote, so a blank or whitespace-only line is not
     plain, and plain lines split on the comma as ``csv`` and ``str.strip``
     read them.  A block longer than ``limit``, the csv field limit, is not
     plain either, since it may hold a field past that limit.
     """
-    if len(text) > limit:
+    if len(text) > limit or not text.isascii():
         return None
-    end = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
+    end = "\r\n" if "\r\n" in text else "\n"
     last = not text.endswith(end)  # the last line of the file may have no line end
-    data = text.encode(errors="surrogateescape")  # an escaped byte is not printable, so fails below
-    if data.translate(None, _FIELD_BYTES) != (b"," + end.encode()) * text.count(end) + b"," * last:
-        return None
-    if not (text.isascii() or text.replace(end, "").isprintable()):
+    if text.encode().translate(None, _FIELD_BYTES) != (b"," + end.encode()) * text.count(end) + b"," * last:
         return None
     fields = text.replace(end, ",").split(",")
     if not last:

@@ -223,14 +223,15 @@ def _parse_matrix_tsv(fh) -> TwoTimeMatrix:
     n = int(m.group("n"))
     grid = TimeGrid(float(m.group("origin")), float(m.group("h")), n)
     lines = fh.readlines()
-    # count the rows before trusting the header's n with an n x n allocation
+    # count the rows and their cells before trusting the header's n with an n x n allocation
     if len(lines) < n:
         raise ValueError(f"expected {n} data rows, found {len(lines)}")
+    for i, line in enumerate(lines[:n]):
+        if (cells := line.count("\t") + 1) != n - i:
+            raise ValueError(f"row {i} has {cells} values, expected {n - i}")
     values = np.zeros((n, n))
     for i, line in enumerate(lines[:n]):
         row = line.rstrip("\n").split("\t")
-        if len(row) != n - i:
-            raise ValueError(f"row {i} has {len(row)} values, expected {n - i}")
         try:
             values[i, i:] = [float(x) for x in row]
         except ValueError:

@@ -1038,3 +1038,21 @@ def test_block_parse_matches_the_per_row_reference(tmp_path, corpus, block, limi
     # every fault names its file and line
     where = "|".join(re.escape(str(path)) for path in paths)
     assert not isinstance(outcome, str) or re.match(rf"({where}):\d+: ", outcome)
+
+
+@pytest.mark.parametrize(
+    "text, fields",
+    [
+        ("P0,30\nP1,41\n", (["P0", "P1"], ["30", "41"])),
+        ("P0,30\r\nP1,41\r\n", (["P0", "P1"], ["30", "41"])),
+        ("P0,30\nP1,41", (["P0", "P1"], ["30", "41"])),  # the file's last line, without a line end
+        ("P0,30\r\nP1,41", (["P0", "P1"], ["30", "41"])),
+        ("P0,30\nÜ7,41\n", None),  # a non-ASCII id: csv reads it, and strips what str.strip strips
+        ("P0,30\rP1,41\r", None),  # CR-only line ends
+        ("P0,30\r\nP1,41\n", None),  # mixed line ends
+        ("P0,30\nP1,41\r", None),
+    ],
+    ids=["lf", "crlf", "lf-last", "crlf-last", "non-ascii", "cr", "crlf-lf", "lf-cr"],
+)
+def test_the_fast_route_takes_only_ascii_blocks_ending_lines_in_lf_or_crlf(text, fields):
+    assert claims._split(text, csv.field_size_limit()) == fields

@@ -146,6 +146,18 @@ def test_solve_rejects_a_non_finite_grid(tmp_path, capsys, field, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "report"])
+def test_a_matrix_of_short_rows_fails_before_the_n_by_n_allocation(tmp_path, capsys, command):
+    # 10**6 one-cell rows under a header of n = 10**6: 2 MB, where an n x n matrix is 7.28 TiB
+    path = tmp_path / "short_rows.tsv"
+    path.write_text("# grid origin=0 h=1 n=1000000 kind=distribution\n" + "0\n" * 1_000_000)
+    out = tmp_path / "out.tsv"
+    flag = "--df" if command == "solve" else "--matrix"
+    assert main([command, flag, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: row 0 has 1 values, expected 1000000\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alias", ["{out}", "{dir}/sub/../H.tsv"], ids=["same", "alias"])
 def test_solve_rejects_a_report_path_equal_to_out(tmp_path, capsys, alias):
     df_path, _ = _write_unit_step_ages(tmp_path)

@@ -94,6 +94,14 @@ def write_inputs(where: Path) -> None:
             for i, (pid, _, age) in enumerate(row.partition(",") for row in rows)
         )
         (where / "signed" / name).write_text(f"{header}\n{body}{extra}")
+    # traffic off the fast route: csv reads every block of the first corpus, and the last block of the second
+    c3k = {name: (where / "c3k" / name).read_text().splitlines() for name in ("policies.csv", "claims.csv")}
+    last = c3k["claims.csv"][-1].partition(",")[0]  # the policy whose rows end both files
+    for corpus, edit, end in (("umlaut-cr", lambda row: "Ü" + row, "\r"),
+                              ("late-utf8", lambda row: row.replace(last, "Ü" + last[1:]), "\r\n")):
+        (where / corpus).mkdir()
+        for name, (header, *rows) in c3k.items():
+            (where / corpus / name).write_text(end.join([header, *map(edit, rows)]) + end, "utf-8", newline="")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
         for file, text in (("policies.csv", MESSY_POLICIES + policies), ("claims.csv", MESSY_CLAIMS + claims)):
@@ -118,9 +126,10 @@ def invocations() -> list[list[str]]:
                          "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
         runs.append(["build-df", "--policies", "in/c10k-shuffled/policies.csv", "--claims",
                      "in/c10k-shuffled/claims.csv", "--out-dir", f"out/c10k-shuffled-{mode}", "--zero-duration", mode])
-    for mode in ("bucket1", "discard"):
-        runs.append(["build-df", "--policies", "in/signed/policies.csv", "--claims", "in/signed/claims.csv",
-                     "--out-dir", f"out/signed-{mode}", "--zero-duration", mode])
+    for corpus in ("signed", "umlaut-cr", "late-utf8"):
+        for mode in ("bucket1", "discard"):
+            runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv", "--claims", f"in/{corpus}/claims.csv",
+                         "--out-dir", f"out/{corpus}-{mode}", "--zero-duration", mode])
     for name in _FAULTS:
         runs.append(["build-df", "--policies", f"in/{name}/policies.csv", "--claims", f"in/{name}/claims.csv",
                      "--out-dir", f"out/{name}"])
