@@ -10,7 +10,8 @@ once t passes the horizon, or the grid when u exceeds a defective row.
 ``estimate_renewal_function`` steps all live paths at once: a guide table
 (Chen and Asau's indexed search) puts each draw in one bucket of its row, and
 a bisection runs only where that bucket holds a cell of M.  The rows of M are
-sorted, so both take the same step.
+sorted, so both take the same step.  Its memory is one chunk of draws plus a
+table no larger than F.
 """
 
 from __future__ import annotations
@@ -98,18 +99,22 @@ def sample_path(
 
 
 def _guide_table(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """K and the int32 table G[s, j] = the first t with M(s, t) >= j / K, j = 0..K.
+    """K and the table G[s, j] = the first t with M(s, t) >= j / K, j = 1..K.
 
-    K is the power of two at or above n - 1, so u * K and j / K are exact and a
-    draw u in (0, 1] lies in bucket b = floor(u K): b / K <= u < (b + 1) / K, or
-    u = 1 at b = K.  Its step then lies in [G[s, b], G[s, b + 1]], where a last
-    column K + 1 repeats column K for u = 1.  With K < 2 (n - 1) the table
-    holds fewer bytes than M.
+    Column 0 holds the first t with M(s, t) > 0, as no draw steps to a cell
+    where M is 0.  K is a power of two, so u * K and j / K are exact and a
+    draw u in (0, 1] lies in bucket b = floor(u K): b / K <= u < (b + 1) / K,
+    or u = 1 at b = K.  Its step then lies in [G[s, b], G[s, b + 1]], where a
+    last column K + 1 repeats column K for u = 1.  G takes the narrowest
+    unsigned dtype that holds n, and K is the largest power of two for which
+    G holds no more bytes than M.
     """
     n = len(M)
-    K = 1 << (n - 2).bit_length()
+    dtype = np.min_scalar_type(n)
+    K = 1 << ((8 * n // dtype.itemsize - 2).bit_length() - 1)
     keys = np.arange(K + 1) / K
-    G = np.empty((n, K + 2), dtype=np.int32)
+    keys[0] = np.nextafter(0.0, 1.0)  # the first t with M > 0 is the first with M >= the least double
+    G = np.empty((n, K + 2), dtype=dtype)
     for s, row in enumerate(M):
         G[s, : K + 1] = row.searchsorted(keys, side="left")
     G[:, K + 1] = G[:, K]
@@ -128,7 +133,8 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     a seed fixes the result whatever the chunk size, and the standard errors
     come from exact sums.  Each step looks every live path's draw up in the
     guide table (see ``_guide_table``) and bisects, a round at a time, only
-    the paths whose bucket leaves more than one candidate.
+    the paths whose bucket leaves more than one candidate, keeping compacted
+    arrays of the paths still open.
     """
     start, horizon, n_paths = cfg.start_idx, cfg.horizon_idx, cfg.n_paths
     _check_inputs(F, start, horizon)
@@ -140,26 +146,30 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     chunk = min(n_paths, max(1, _CHUNK_DRAWS // span))
     M = F.running_max
     K, G = _guide_table(M)
+    # flat views, gathered at flat offsets: one index array per gather
+    Gf, Mf, width, n = G.ravel(), M.ravel(), K + 2, len(M)
     # refilled by each chunk, so that no two draw blocks are ever live at once
     block = np.empty((chunk, span))
     for first in range(0, n_paths, chunk):
         draws = rng.random(out=block[: min(chunk, n_paths - first)])
         rows = np.arange(len(draws))
-        cur = np.full(len(draws), start)
+        cur = np.full(len(draws), start, dtype=np.intp)
         for step in range(span):
-            u = 1.0 - draws[rows, step]  # uniform on (0, 1]
-            b = (u * K).astype(np.intp)
-            age = cur
-            cur, hi = G[age, b], G[age, b + 1]
-            # the step lies in [cur, hi]; bisect where that leaves a choice
+            u = 1.0 - draws[:, step][rows]  # uniform on (0, 1]
+            at = cur * width + (u * K).astype(np.intp)
+            age, cur, hi = cur, Gf[at].astype(np.intp), Gf[at + 1].astype(np.intp)
+            # the step lies in [cur, hi]; bisect, on the paths still open, where that leaves a choice
             todo = np.flatnonzero(cur < hi)
+            lo, up, row_at, v = cur[todo], hi[todo], age[todo] * n, u[todo]
             while len(todo):
-                lo, up = cur[todo], hi[todo]
                 mid = (lo + up) >> 1
-                at_or_above = M[age[todo], mid] >= u[todo]
-                cur[todo] = np.where(at_or_above, lo, mid + 1)
-                hi[todo] = np.where(at_or_above, mid, up)
-                todo = todo[cur[todo] < hi[todo]]
+                at_or_above = Mf[row_at + mid] >= v
+                lo = np.where(at_or_above, lo, mid + 1)
+                up = np.where(at_or_above, mid, up)
+                cur[todo] = lo
+                still = lo < up
+                if not still.all():
+                    todo, lo, up, row_at, v = todo[still], lo[still], up[still], row_at[still], v[still]
             go = cur <= horizon
             rows, cur = rows[go], cur[go]
             renewed = np.bincount(cur - start, minlength=span)

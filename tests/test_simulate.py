@@ -109,13 +109,13 @@ def _path_counts(F, start, horizon, block):
 def _edge_df(rng, n):
     """A law whose cells sit on the estimator's bucket edges j / K, or right beside them.
 
-    K is the power of two at or above n - 1.  Each row takes its cells from
+    K is the guide table's for n points.  Each row takes its cells from
     the edges, the doubles either side of them and the draws 2**-53 either
     side of them.  About half the rows are capped at a random edge, which
     leaves most of those defective, and about half dip by 5e-10, within the
     slack, right after a cell on an edge.
     """
-    K = 1 << (n - 2).bit_length()
+    K = simulate._guide_table(np.zeros((n, n)))[0]
     edges = np.arange(1, K + 1) / K
     beside = [np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), edges - 2.0**-53, edges + 2.0**-53]
     pool = np.concatenate([edges, *beside])
@@ -457,6 +457,32 @@ def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):
     assert big <= 1.6 * 256 * 30 * 8
 
 
+def _first_at_or_above(row, keys):
+    """For each key, the first t with row[t] >= key, or len(row); a linear scan."""
+    hit = row[None, :] >= keys[:, None]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), len(row))
+
+
+def test_guide_table_matches_its_definition():
+    # random defective laws, dipped ones and ones with all-zero rows, across the uint8 / uint16 switch
+    rng = np.random.default_rng(149)
+    for n, dtype in ((2, np.uint8), (3, np.uint8), (255, np.uint8), (256, np.uint16), (257, np.uint16)):
+        F = random_defective_df(rng, n, min_mass=0.0)
+        values = F.values.copy()
+        values[rng.choice(n, size=(n + 2) // 3, replace=False)] = 0.0
+        for law in (F, _dipped(F, rng), TwoTimeMatrix(F.grid, values, "distribution")):
+            M = law.running_max
+            K, G = simulate._guide_table(M)
+            assert G.dtype == dtype and G.shape == (n, K + 2) and K & (K - 1) == 0
+            # the largest power of two whose table fits in F's bytes
+            assert G.nbytes <= law.values.nbytes < n * (2 * K + 2) * G.itemsize
+            for row, g in zip(M, G):
+                positive = np.flatnonzero(row > 0.0)
+                assert g[0] == (positive[0] if len(positive) else n)
+                assert np.array_equal(g[1 : K + 1], _first_at_or_above(row, np.arange(1, K + 1) / K))
+                assert g[K + 1] == g[K]
+
+
 def test_estimator_steps_like_both_references_on_draws_at_and_beside_bucket_edges(monkeypatch):
     # draws on each edge j / K, beside it, on and beside each cell (so in each dip's
     # window), 1.0 and past each defective total; from every start, to the last point
@@ -483,18 +509,33 @@ def test_estimator_steps_like_both_references_on_cells_just_below_the_grid_fract
         _assert_steps_like_both_references(F, us, [(0, n - 1), (n // 2, n - 1)], rng, monkeypatch)
 
 
+def test_estimator_steps_like_both_references_across_the_table_dtype_switch(monkeypatch):
+    # n = 255 keeps a uint8 table and n = 256 needs uint16; draws on and beside each
+    # bucket edge, 1.0, the least draw, and the cells below 1 / K that open each row
+    rng = np.random.default_rng(139)
+    for n, dtype in ((255, np.uint8), (256, np.uint16)):
+        F, edges = _edge_df(rng, n)
+        K, G = simulate._guide_table(F.running_max)
+        assert G.dtype == dtype
+        us = _draws_beside(np.concatenate([edges, F.values[F.values < 1 / K], [2.0**-53]]))
+        assert set(edges) <= set(us)
+        windows = [(0, n - 1), (n - 9, n - 1), (n - 2, n - 2)]
+        _assert_steps_like_both_references(F, us, windows, rng, monkeypatch)
+
+
 def test_estimator_bisects_a_bucket_of_over_100_points(monkeypatch):
-    # the geometric law at n = 201 (K = 256) puts lags 20 to ~127 of each row
-    # in its top bucket [255/256, 1); draws on and beside each of those cells and 1.0
-    F = geometric_law(0.25, 200)
-    top = F.values[0][(F.values[0] >= 255 / 256) & (F.values[0] < 1.0)]
+    # the geometric law at n = 201 puts lags 32 to 167 of each row in its top bucket
+    # [(K - 1) / K, 1); draws on and beside each of those cells and 1.0
+    F = geometric_law(0.2, 200)
+    K = simulate._guide_table(F.running_max)[0]
+    top = F.values[0][(F.values[0] >= (K - 1) / K) & (F.values[0] < 1.0)]
     assert len(top) > 100
     us = _draws_beside(top)
     _assert_steps_like_both_references(F, us, [(0, 200), (150, 200)], np.random.default_rng(127), monkeypatch)
 
 
 def test_estimator_memory_is_bounded_by_the_chunk_and_the_law(monkeypatch):
-    # at n = 300 the guide table, 300 x 514 int32 cells, is most of the working memory
+    # at n = 300 the guide table, 300 x 1026 uint16 cells, is most of the working memory
     F = random_defective_df(np.random.default_rng(131), 300)
     F.running_max  # F's own cached view, built before tracing
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 300 * 64)

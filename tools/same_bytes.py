@@ -108,6 +108,7 @@ def write_inputs(where: Path) -> None:
             (where / name / file).write_text(text, encoding="utf-8", errors="surrogateescape")
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
     write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
+    write_matrix_tsv(inputs.generating_df(256, 0.2), where / "law256.tsv")
     (where / "dip.tsv").write_text(_DIPPED_LAW)
 
 
@@ -145,6 +146,7 @@ def invocations() -> list[list[str]]:
         ("out/c3k-bucket1-60/waiting_df_by_age.tsv", "3000", "7", "0", "42"),
         ("in/law501.tsv", "1000", "3", "10", "300"),
         ("in/law201.tsv", "100000", "17", "0", "200"),  # 2e7 draws: 20 chunks
+        ("in/law256.tsv", "20000", "19", "0", "255"),  # n = 256, the least n whose guide table is uint16
         ("in/dip.tsv", "500", "13", "0", "5"),
         ("out/messy-bucket1-40/waiting_df_by_age.tsv", "300", "11", "30", "10"),  # a bad window
     ):
