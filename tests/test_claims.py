@@ -837,6 +837,41 @@ def test_ingest_memory_does_not_depend_on_the_claim_order(tmp_path):
     assert rise["shuffled"] <= rise["grouped"] + 0.5, rise
 
 
+def test_ingest_memory_does_not_grow_with_a_file_without_line_feeds(tmp_path):
+    # a CR-only claims file holds no line feed, so no read may carry its text on to the next;
+    # csv reads it, and it and its LF twin must stay within one bound at 1x and at 4x the size
+    rng = np.random.default_rng(17)
+    ids = [f"P{i:0120d}" for i in range(400)]  # long lines: a multi-MB file of few rows
+    entry = BASE_AGE + rng.integers(0, 30, len(ids))
+    owner = rng.integers(0, len(ids), 16_000)
+    rows = [f"{ids[o]},{a}" for o, a in zip(owner.tolist(), (entry[owner] + rng.integers(0, 60, len(owner))).tolist())]
+    policies, claims_file = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    policies.write_text("policy_id,entry_age\n" + "".join(f"{p},{e}\n" for p, e in zip(ids, entry.tolist())))
+    extra = {}
+    for times in (1, 4):
+        for end in ("\r", "\n"):
+            claims_file.write_text(end.join(["policy_id,claim_age", *rows * times]) + end, newline="")
+            if not extra:
+                ingest(policies, claims_file)  # the first calls' one-off allocations are not the file's
+            tracemalloc.start()
+            try:
+                records, _ = ingest(policies, claims_file)
+                held, peak = tracemalloc.get_traced_memory()  # held: what the records keep
+            finally:
+                tracemalloc.stop()
+            tracemalloc.start()
+            try:  # ingest's policy index, which it drops on return
+                index = dict(zip(records.policy_ids, range(len(records.policy_ids))))
+                index_bytes = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(records.claim_age) == len(rows) * times and len(index) == len(ids)
+            extra[times, end] = peak - held - index_bytes
+    assert claims_file.stat().st_size > 8_000_000  # the 4x file, 2 MB at 1x
+    # a block's field strings and a batch of csv rows; a carried CR-only file would be 2 and 8 MB
+    assert max(extra.values()) <= 64 * claims._BLOCK, extra
+
+
 # -- the per-row ingest the block parse replaced, kept as its oracle --
 
 
@@ -1056,3 +1091,50 @@ def test_block_parse_matches_the_per_row_reference(tmp_path, corpus, block, limi
 )
 def test_the_fast_route_takes_only_ascii_blocks_ending_lines_in_lf_or_crlf(text, fields):
     assert claims._split(text, csv.field_size_limit()) == fields
+
+
+_EDGE_POLICIES = ["A,24", "B,", "C,17", "D,30", "E,+19"]
+_EDGE_CLAIMS = ["A,30", "B,24", "C,40", "D,29", "A,24", "D,30", "D,30", "E,61"]
+
+
+@pytest.mark.parametrize("last_end", [True, False], ids=["ended", "unended"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_every_read_size_cuts_whole_lines(tmp_path, monkeypatch, end, bom, last_end):
+    # at every read size a read ends at each offset of the file, on either side of a CR and its LF;
+    # from the longest line on, each read holds a line feed, so every block the fast route is given
+    # must be plain: a cut inside CR LF or a repeated or dropped line would show there or in the records
+    paths = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    texts = [
+        bom + end.join([header, *rows]) + end * last_end
+        for header, rows in (("policy_id,entry_age", _EDGE_POLICIES), ("policy_id,claim_age", _EDGE_CLAIMS))
+    ]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8", newline="")
+    longest = max(len(row + end) for row in _EDGE_POLICIES + _EDGE_CLAIMS)
+    split, given = claims._split, []
+    monkeypatch.setattr(claims, "_split", lambda text, limit: given.append(split(text, limit)) or given[-1])
+    for zero_duration in ("bucket1", "discard"):
+        cleaning = CleaningConfig(zero_duration=zero_duration)
+        expected = _outcome(_reference_ingest, *paths, cleaning)
+        assert not isinstance(expected, str)
+        for block in range(1, max(map(len, texts)) + 1):
+            given.clear()
+            monkeypatch.setattr(claims, "_BLOCK", block)
+            assert _outcome(ingest, *paths, cleaning) == expected, block
+            if block >= longest:
+                assert given and None not in given, block
+
+
+def test_a_block_handed_to_csv_splits_lines_where_the_handle_does(tmp_path, monkeypatch):
+    # str.splitlines would also split these ids, at characters that end no line in a CSV file
+    odd = ["Q\x0bR", "S\x0cT", "U\x1cV", "W\x85X", "Y\u2028Z", "A\u2029B"]
+    policies, claims_file = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    text = "policy_id,claim_age\r\n" + "".join(f"{pid},30\r\n" for pid in odd)
+    policies.write_text("policy_id,entry_age\r\n" + "".join(f"{pid},24\r\n" for pid in odd), "utf-8", newline="")
+    claims_file.write_text(text, "utf-8", newline="")
+    expected = _outcome(_reference_ingest, policies, claims_file, CleaningConfig())
+    assert expected[0] == tuple(odd)
+    for block in range(1, len(text) + 1):
+        monkeypatch.setattr(claims, "_BLOCK", block)
+        assert _outcome(ingest, policies, claims_file, CleaningConfig()) == expected, block

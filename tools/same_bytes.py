@@ -46,6 +46,9 @@ _FAULTS = {
 _AGE_FORMS = ("{}", "+{}", "0{}", "00{}")
 #: rows added to the signed corpus: an underage policy, its claim, a pre-entry and a padded claim
 _SIGNED_ROWS = {"policies.csv": "N1,-3\n", "claims.csv": "N1,+24\nP000000,-3\nP000001,0031\n"}
+#: zeros added to each id of the crlf-cut corpus, which puts a read boundary of each of its files between
+#: a CR and its LF
+_CRLF_PAD = 5
 #: a law whose row 0 dips twice by 9e-10, inside the validation slack
 _DIPPED_LAW = "".join(
     ["# grid origin=0 h=1 n=6 kind=distribution\n", "0\t1\t0.99999999910000001\t1\t0.99999999910000001\t1\n"]
@@ -74,6 +77,7 @@ def write_inputs(where: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import inputs
 
+    from renewalkit.claims import _BLOCK
     from renewalkit.grids import write_matrix_tsv
     from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES
 
@@ -102,6 +106,14 @@ def write_inputs(where: Path) -> None:
         (where / corpus).mkdir()
         for name, (header, *rows) in c3k.items():
             (where / corpus / name).write_text(end.join([header, *map(edit, rows)]) + end, "utf-8", newline="")
+    # CR LF lines whose padded ids put a read boundary of each file between a CR and its LF; no end on the last
+    (where / "crlf-cut").mkdir()
+    for name, (header, *rows) in c3k.items():
+        text = "\r\n".join([header, *(row.replace("P", "P" + "0" * _CRLF_PAD, 1) for row in rows)])
+        cuts = range(len(header) + 2 + _BLOCK, len(text), _BLOCK)  # the reads start after the header line
+        if not any(text[at - 1 : at + 1] == "\r\n" for at in cuts):
+            raise RuntimeError(f"no read of crlf-cut/{name} ends between a CR and its LF")
+        (where / "crlf-cut" / name).write_text(text, "utf-8", newline="")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
         for file, text in (("policies.csv", MESSY_POLICIES + policies), ("claims.csv", MESSY_CLAIMS + claims)):
@@ -127,7 +139,7 @@ def invocations() -> list[list[str]]:
                          "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
         runs.append(["build-df", "--policies", "in/c10k-shuffled/policies.csv", "--claims",
                      "in/c10k-shuffled/claims.csv", "--out-dir", f"out/c10k-shuffled-{mode}", "--zero-duration", mode])
-    for corpus in ("signed", "umlaut-cr", "late-utf8"):
+    for corpus in ("signed", "umlaut-cr", "late-utf8", "crlf-cut"):
         for mode in ("bucket1", "discard"):
             runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv", "--claims", f"in/{corpus}/claims.csv",
                          "--out-dir", f"out/{corpus}-{mode}", "--zero-duration", mode])
