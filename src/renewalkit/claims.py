@@ -329,14 +329,16 @@ def _split(text: str, limit: int) -> tuple[list[str], list[str]] | None:
 def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[_Block]:
     """The records ``csv`` reads from ``lines``, which start after physical line ``line``.
 
-    Yields (line numbers, ids, ages) in batches of a block's worth of rows,
-    then raises what stopped the reader, if anything: a ``csv`` error, a
-    byte that is not UTF-8 or a row without two fields, checked in that order.
+    Yields (line numbers, ids, ages) in batches whose fields hold about a
+    block of characters, however long the rows, then raises what stopped the
+    reader, if anything: a ``csv`` error, a byte that is not UTF-8 or a row
+    without two fields, checked in that order.
     """
     reader = csv.reader(lines)
     nums: list[int] = []
     ids: list[str] = []
     ages: list[str] = []
+    size = 0
     fault: Exception | None = None
     try:
         for row in reader:
@@ -349,9 +351,10 @@ def _csv_records(path: str | Path, lines: Iterable[str], line: int) -> Iterator[
             nums.append(line + reader.line_num)
             ids.append(row[0].strip())
             ages.append(row[1].strip())
-            if len(nums) * 16 >= _BLOCK:  # about a block of short lines
+            size += len(ids[-1]) + len(ages[-1])
+            if size >= _BLOCK:
                 yield nums, ids, ages
-                nums, ids, ages = [], [], []
+                nums, ids, ages, size = [], [], [], 0
     except csv.Error as exc:
         fault = ValueError(f"{path}:{line + reader.line_num}: {exc}")
     yield nums, ids, ages

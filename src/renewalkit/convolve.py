@@ -9,7 +9,8 @@ and the density form integrates two densities against each other,
 
     (f * g)(s, t) ~= sum_{tau = s..t} w_tau g(s, tau) f(tau, t),
 
-with quadrature weights w chosen by rule.  Note the slot order of the
+with the quadrature weights w of a rule, which ``_lag_weights`` reads for
+this form and for the quadrature solves alike.  Note the slot order of the
 density form: the SECOND operand takes the (s, tau) slot.  Both reduce to
 ordinary one-variable convolution when the operands depend only on t - s.
 
@@ -41,8 +42,7 @@ __all__ = [
 #: the nodes tau = s + j of [s, t] with m = t - s steps, as (first j = 0,
 #: second j = 1, odd j >= 3, even j >= 2, last j = m), for even and for odd
 #: m.  Only Simpson depends on the parity of m: an odd span takes one
-#: trapezoid step first (m = 1 is that step alone, with last weight 1/2;
-#: no solver reads it, as it multiplies H(t, t) = 0).
+#: trapezoid step first (m = 1 is that step alone, weighted (1/2, 1/2)).
 RULE_WEIGHTS = {
     "rect-right": ((0.0, 1.0, 1.0, 1.0, 1.0),) * 2,
     "rect-left": ((1.0, 1.0, 1.0, 1.0, 0.0),) * 2,
@@ -77,6 +77,19 @@ def _triu_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             end = min(j + _BLOCK, n)
             np.matmul(A[rows, i:end], B[i:end, j:end], out=out[rows, j:end])
     return out
+
+
+def _lag_weights(rule: str, n: int, h: float) -> np.ndarray:
+    """h x (first, second, odd, even, last) of ``rule`` as five rows indexed by the span m = 0..n-1.
+
+    Node j of a span of m steps takes the first weight at j = 0, the second at j = 1 < m, the odd
+    or even one at j >= 2 by the parity of j, and the last at j = m, which is h - first at m = 1.
+    """
+    if rule not in RULE_WEIGHTS:
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    W = (h * np.array(RULE_WEIGHTS[rule]))[np.arange(n) % 2].T
+    W[4, 1] = h - W[0, 1]
+    return W
 
 
 def increments_from_df(F: TwoTimeMatrix) -> TwoTimeMatrix:
@@ -141,19 +154,23 @@ def nfold_convolution(F: TwoTimeMatrix, n: int) -> TwoTimeMatrix:
 def density_convolve(f: TwoTimeMatrix, g: TwoTimeMatrix, rule: str = "trapezoid") -> TwoTimeMatrix:
     """Quadrature approximation of (f * g)(s, t) = int_s^t g(s, tau) f(tau, t) dtau.
 
-    ``rule`` picks the node set on [s, t]: left rectangles (tau = s..t-1),
-    right rectangles (tau = s+1..t) or the trapezoid rule.  The (s, s)
-    diagonal is exactly zero for every rule.
+    The forward product of the solvers' weights w_j(m) (``_lag_weights``), for any rule:
+    Q(s, t) = sum_{j=0..m} w_j(m) g(s, s+j) f(s+j, t) with m = t - s.  One product takes every
+    node at the even interior weight, a second the odd lags where their weight differs (Simpson),
+    and the nodes j = 0, 1 and m are then corrected.  The (s, s) diagonal is exactly zero.
     """
+    def by_span(w: np.ndarray) -> np.ndarray:  # the read-only n x n view of w[t - s], zero below the diagonal
+        return np.lib.stride_tricks.sliding_window_view(np.concatenate((np.zeros(len(w) - 1), w)), len(w))[::-1]
+
     require_same_grid(f, g)
-    h = f.grid.step_h
+    span = np.arange(f.n_points)
+    first, second, odd, even, last = _lag_weights(rule, len(span), f.grid.step_h)
     fv, gv = f.values, g.values
-    # the one full product below assumes every interior weight is 1, which Simpson's are not
-    if rule not in RULE_WEIGHTS or rule == "simpson":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    w_first, *_, w_last = RULE_WEIGHTS[rule][0]
-    full = _triu_product(gv, fv)  # sum over tau = s..t of g(s,tau) f(tau,t)
-    first = np.diagonal(gv)[:, None] * fv  # tau = s term
-    last = gv * np.diagonal(fv)[None, :]  # tau = t term
-    out = (full - (1.0 - w_first) * first - (1.0 - w_last) * last) * h
+    out = by_span(even) * _triu_product(gv, fv)
+    if np.any(odd != even):
+        out += by_span(odd - even) * _triu_product(gv * by_span(span % 2), fv)
+    out += by_span(first - even) * (np.diagonal(gv)[:, None] * fv)  # j = 0
+    out[:-1] += by_span(np.where(span > 1, second - odd, 0.0))[:-1] * (np.diagonal(gv, 1)[:, None] * fv[1:])
+    out += by_span(last - np.where(span % 2, odd, even)) * (gv * np.diagonal(fv))  # j = m
+    np.fill_diagonal(out, 0.0)
     return TwoTimeMatrix(f.grid, out, "generic")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import RULE_WEIGHTS, convolution_powers, increments_from_df
+from .convolve import RULE_WEIGHTS, _lag_weights, convolution_powers, increments_from_df
 from .grids import TimeGrid, TwoTimeMatrix, require_kind, require_same_grid
 
 __all__ = [
@@ -118,27 +118,23 @@ def solve_series(F: TwoTimeMatrix, tol: float = 1e-12) -> SeriesResult:
 def _row_sweep(K: np.ndarray, F: np.ndarray, h: float, rule: str) -> np.ndarray:
     """Back-substitute H = F + quadrature of K H one row at a time, last row first.
 
-    Row u solves, for every k > u at once with m = k - u and ``RULE_WEIGHTS``,
+    Row u solves, for every k > u at once with m = k - u and the weights
+    w_j(m) of ``convolve._lag_weights``,
     (1 - w_0(m) K(u, u)) H(u, k) = F(u, k) + sum_{j=1..m-1} w_j(m) K(u, u+j) H(u+j, k);
     the j = m term drops as H(k, k) = 0.  Interior weights depend only on the
     parities of j and m: one vector-matrix product per parity of j, plus a
-    j = 1 correction.
+    j = 1 correction.  A row's divisor takes one value at odd and one at even
+    m; all are checked before any solving, and the first singular cell in
+    column order, bottom-up within a column, is reported.
     """
     n = len(F)
-    W = h * np.array(RULE_WEIGHTS[rule])  # rows: even m, odd m
-    m = np.arange(n)
-    parity = (m[None, :] - m[:, None]) % 2
-    D = 1.0 - W[parity, 0] * np.diagonal(K)[:, None]
-    bad = np.triu(D < SINGULAR_TOL, k=1)
-    if bad.any():
-        # report the first cell in column order, each column bottom-up
-        k = int(np.argmax(bad.any(axis=0)))
-        u = int(np.nonzero(bad[:, k])[0][-1])
-        raise ValueError(
-            f"singular diagonal at (u={u}, k={k}): 1 - w0*f(u,u) = {D[u, k]:.3e} "
-            f"(step h = {h} too large relative to the density at zero lag)"
-        )
-    _, second, odd, even, _ = W[m % 2].T
+    first, second, odd, even, _ = _lag_weights(rule, n, h)
+    D = 1.0 - first[:2, None] * np.diagonal(K)  # D[m % 2, u]: row u's divisor at span m
+    k = int((np.arange(n) + np.where(D[1] < SINGULAR_TOL, 1, np.where(D[0] < SINGULAR_TOL, 2, n))).min())
+    if k < n:  # row u's first singular column is u + 1 or u + 2
+        u = max(u for u in range(k) if D[(k - u) % 2, u] < SINGULAR_TOL)
+        raise ValueError(f"singular diagonal at (u={u}, k={k}): 1 - w0*f(u,u) = {D[(k - u) % 2, u]:.3e} "
+                         f"(step h = {h} too large relative to the density at zero lag)")
     H = np.zeros_like(F)
     for u in range(n - 2, -1, -1):
         lag = slice(1, n - u)
@@ -150,7 +146,7 @@ def _row_sweep(K: np.ndarray, F: np.ndarray, h: float, rule: str) -> np.ndarray:
             + even[lag] * (k_row[1::2] @ below[1::2])
             + (second[lag] - odd[lag]) * (k_row[0] * below[0])
         )
-        H[u, u + 1 :] = rhs / D[u, u + 1 :]
+        H[u, u + 1 :] = rhs / (1.0 - first[lag] * K[u, u])
     return H
 
 

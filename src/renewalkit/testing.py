@@ -7,7 +7,14 @@ import numpy as np
 from .grids import TimeGrid, TwoTimeMatrix
 from .solver import homogeneous_lift, lift_duration_function
 
-__all__ = ["MESSY_CLAIMS", "MESSY_POLICIES", "geometric_law", "poisson_law", "random_defective_df"]
+__all__ = [
+    "MESSY_CLAIMS",
+    "MESSY_POLICIES",
+    "bernoulli_law",
+    "geometric_law",
+    "poisson_law",
+    "random_defective_df",
+]
 
 # a hand-written messy corpus: blank lines, blank and padded ages, an under-18
 # and an age-150 policy, same-age, pre-entry and past-cap claims, a quoted id
@@ -41,6 +48,19 @@ def random_defective_df(
         values[s, s + 1 :] = np.cumsum(inc)
     grid = TimeGrid(origin, step_h, n_points)
     return TwoTimeMatrix(grid, values, "distribution")
+
+
+def bernoulli_law(p) -> TwoTimeMatrix:
+    """Independent renewals with probability p[k - 1] at step k = 1..T, on the unit grid 0..T.
+
+    The exact age-dependent law: F(s, t) = 1 - prod_{k=s+1..t} (1 - p_k),
+    H(s, t) = sum_{k=s+1..t} p_k, and N(t) - N(s) is Poisson-binomial.
+    """
+    q = 1.0 - np.asarray(p, dtype=np.float64)
+    values = np.zeros((len(q) + 1, len(q) + 1))
+    for s in range(len(q)):
+        values[s, s + 1 :] = 1.0 - np.cumprod(q[s:])
+    return TwoTimeMatrix(TimeGrid(0.0, 1.0, len(q) + 1), values, "distribution")
 
 
 def geometric_law(p: float, T: int) -> TwoTimeMatrix:

@@ -839,17 +839,20 @@ def test_ingest_memory_does_not_depend_on_the_claim_order(tmp_path):
 
 def test_ingest_memory_does_not_grow_with_a_file_without_line_feeds(tmp_path):
     # a CR-only claims file holds no line feed, so no read may carry its text on to the next;
-    # csv reads it, and it and its LF twin must stay within one bound at 1x and at 4x the size
+    # csv reads it, and it and its LF twin must stay within one bound at 1x and at 4x the size.
+    # A CR-only file of 2,000-character ids holds few rows a block, so csv's batches of rows
+    # must be cut by the characters of their fields, not by a count of rows
     rng = np.random.default_rng(17)
-    ids = [f"P{i:0120d}" for i in range(400)]  # long lines: a multi-MB file of few rows
-    entry = BASE_AGE + rng.integers(0, 30, len(ids))
-    owner = rng.integers(0, len(ids), 16_000)
-    rows = [f"{ids[o]},{a}" for o, a in zip(owner.tolist(), (entry[owner] + rng.integers(0, 60, len(owner))).tolist())]
     policies, claims_file = tmp_path / "policies.csv", tmp_path / "claims.csv"
-    policies.write_text("policy_id,entry_age\n" + "".join(f"{p},{e}\n" for p, e in zip(ids, entry.tolist())))
     extra = {}
-    for times in (1, 4):
-        for end in ("\r", "\n"):
+    for width, claim_rows, shapes in ((120, 16_000, [(1, "\r"), (1, "\n"), (4, "\r"), (4, "\n")]),
+                                      (2_000, 2_000, [(1, "\r")])):
+        ids = [f"P{i:0{width}d}" for i in range(400)]  # long lines: a multi-MB file of few rows
+        entry = BASE_AGE + rng.integers(0, 30, len(ids))
+        owner = rng.integers(0, len(ids), claim_rows)
+        rows = [f"{ids[o]},{a}" for o, a in zip(owner.tolist(), (entry[owner] + rng.integers(0, 60, len(owner))).tolist())]
+        policies.write_text("policy_id,entry_age\n" + "".join(f"{p},{e}\n" for p, e in zip(ids, entry.tolist())))
+        for times, end in shapes:
             claims_file.write_text(end.join(["policy_id,claim_age", *rows * times]) + end, newline="")
             if not extra:
                 ingest(policies, claims_file)  # the first calls' one-off allocations are not the file's
@@ -866,9 +869,12 @@ def test_ingest_memory_does_not_grow_with_a_file_without_line_feeds(tmp_path):
             finally:
                 tracemalloc.stop()
             assert len(records.claim_age) == len(rows) * times and len(index) == len(ids)
-            extra[times, end] = peak - held - index_bytes
-    assert claims_file.stat().st_size > 8_000_000  # the 4x file, 2 MB at 1x
-    # a block's field strings and a batch of csv rows; a carried CR-only file would be 2 and 8 MB
+            extra[width, times, end] = peak - held - index_bytes
+            if times == 4 and end == "\n":
+                assert claims_file.stat().st_size > 8_000_000  # the 4x file, 2 MB at 1x
+    assert claims_file.stat().st_size > 4_000_000  # 2,000 rows of 2,000 characters
+    # a block's field strings and a batch of csv rows; a carried CR-only file would be 2 and 8 MB,
+    # and batches of 512 rows of 2,000-character ids would be 1 MB
     assert max(extra.values()) <= 64 * claims._BLOCK, extra
 
 

@@ -1,11 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewalkit.convolve import RULE_WEIGHTS, increments_from_df, nfold_convolution
+from renewalkit.convolve import RULE_WEIGHTS, density_convolve, increments_from_df, nfold_convolution
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv
 from renewalkit.solver import (
     SolverMethod,
@@ -17,7 +18,8 @@ from renewalkit.solver import (
     solve_quadrature,
     solve_series,
 )
-from renewalkit.testing import geometric_law, poisson_law, random_defective_df
+from renewalkit.simulate import SimConfig, estimate_renewal_function
+from renewalkit.testing import bernoulli_law, geometric_law, poisson_law, random_defective_df
 
 GRID3 = TimeGrid(0.0, 1.0, 3)
 SINGLE_STEP = [[0, 0.5, 1.0], [0, 0, 1.0], [0, 0, 0]]
@@ -231,6 +233,65 @@ def test_exact_solve_residual_is_at_round_off(n, seed):
     H = solve_discrete(F).values
     v = increments_from_df(F).values
     assert np.abs(H - F.values - v @ H).max() <= 1e-12
+
+
+def _relative_residual(f, F, H, rule):
+    """||H - F - Q(f, H)|| / max H, with Q the forward quadrature product of ``density_convolve``."""
+    Q = density_convolve(H, f, rule).values  # sum_j w_j(m) f(s, s+j) H(s+j, t)
+    return np.abs(H.values - F.values - Q).max() / H.values.max()
+
+
+@pytest.mark.parametrize("rule", RULE_WEIGHTS)
+def test_quadrature_solve_residual_is_at_round_off_on_poisson(rule):
+    # the sweep and the forward product read their weights from one helper, so a wrong entry in
+    # the table moves both; the Simpson order test in test_convolve.py catches those
+    F, f = poisson_law(1.0, 50.0, 0.1)  # n = 501
+    H = solve_quadrature(f, F, SolverMethod(rule))
+    assert _relative_residual(f, F, H, rule) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    h=st.sampled_from((1.0, 0.25, 0.1)),
+    rule=st.sampled_from(tuple(RULE_WEIGHTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_solve_residual_is_at_round_off_on_defective_laws(n, h, rule, seed):
+    rng = np.random.default_rng(seed)
+    F = random_defective_df(rng, n, step_h=h)
+    dens = rng.uniform(0.0, 2.0 / (n * h), (n, n))
+    dens[np.diag_indices(n)] = rng.uniform(0.0, 0.4, n)  # w0 f(u, u) <= 0.4: no singular divisor
+    f = TwoTimeMatrix(F.grid, dens, "density")
+    H = solve_quadrature(f, F, SolverMethod(rule))
+    assert _relative_residual(f, F, H, rule) <= 1e-12
+
+
+def test_bernoulli_law_is_solved_exactly_by_every_route():
+    # renewals at step k with probability p_k, independently: H(s, t) = sum_{k=s+1..t} p_k, and
+    # N(t) - N(s) is Poisson-binomial
+    p = np.random.default_rng(20261020).uniform(0.02, 0.9, 59)
+    F = bernoulli_law(p)
+    n = F.n_points
+    assert n == 60
+    H = np.zeros((n, n))
+    for s in range(n - 1):
+        H[s, s + 1 :] = np.cumsum(p[s:])
+    assert np.abs(solve_discrete(F).values - H).max() <= 1e-12
+    assert np.abs(solve_series(F, tol=1e-14).renewal.values - H).max() <= 1e-10
+    for s, t in ((0, 59), (17, 42), (30, 31), (58, 59), (5, 5)):
+        pmf = np.array([1.0])
+        for pk in p[s:t]:
+            pmf = np.convolve(pmf, [1.0 - pk, pk])
+        got = counting_pmf(F, s, t, tol=1e-15)
+        assert np.abs(got.probs - pmf[: len(got.probs)]).max() <= 1e-12
+        assert pmf[len(got.probs) :].sum() <= got.truncation_mass + 1e-12
+    est = estimate_renewal_function(F, SimConfig(50_000, 424243, 0, n - 1))
+    want = H[0, est.t_indices()]
+    random = est.std_errs > 0
+    assert np.all(est.means[~random] == want[~random])  # t = 0: no path renews
+    z = statistics.NormalDist().inv_cdf(1 - 0.01 / (2 * random.sum()))  # Bonferroni at 1 %
+    assert np.all(np.abs(est.means - want)[random] <= z * est.std_errs[random])
 
 
 def test_solver_method_validation():

@@ -49,6 +49,9 @@ _SIGNED_ROWS = {"policies.csv": "N1,-3\n", "claims.csv": "N1,+24\nP000000,-3\nP0
 #: zeros added to each id of the crlf-cut corpus, which puts a read boundary of each of its files between
 #: a CR and its LF
 _CRLF_PAD = 5
+#: zeros added to each id of the long-cr corpus, making ids of 2,000 characters: csv reads its CR-only
+#: lines, and each batch of rows it hands on then holds only a few of them
+_LONG_PAD = 1993
 #: a law whose row 0 dips twice by 9e-10, inside the validation slack
 _DIPPED_LAW = "".join(
     ["# grid origin=0 h=1 n=6 kind=distribution\n", "0\t1\t0.99999999910000001\t1\t0.99999999910000001\t1\n"]
@@ -114,6 +117,11 @@ def write_inputs(where: Path) -> None:
         if not any(text[at - 1 : at + 1] == "\r\n" for at in cuts):
             raise RuntimeError(f"no read of crlf-cut/{name} ends between a CR and its LF")
         (where / "crlf-cut" / name).write_text(text, "utf-8", newline="")
+    (where / "long-cr").mkdir()
+    for name in ("policies.csv", "claims.csv"):
+        header, *rows = (where / "c15" / name).read_text().splitlines()
+        text = "\r".join([header, *(row.replace("P", "P" + "0" * _LONG_PAD, 1) for row in rows)]) + "\r"
+        (where / "long-cr" / name).write_text(text, "utf-8", newline="")
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
         for file, text in (("policies.csv", MESSY_POLICIES + policies), ("claims.csv", MESSY_CLAIMS + claims)):
@@ -139,7 +147,7 @@ def invocations() -> list[list[str]]:
                          "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
         runs.append(["build-df", "--policies", "in/c10k-shuffled/policies.csv", "--claims",
                      "in/c10k-shuffled/claims.csv", "--out-dir", f"out/c10k-shuffled-{mode}", "--zero-duration", mode])
-    for corpus in ("signed", "umlaut-cr", "late-utf8", "crlf-cut"):
+    for corpus in ("signed", "umlaut-cr", "late-utf8", "crlf-cut", "long-cr"):
         for mode in ("bucket1", "discard"):
             runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv", "--claims", f"in/{corpus}/claims.csv",
                          "--out-dir", f"out/{corpus}-{mode}", "--zero-duration", mode])
