@@ -6,14 +6,16 @@ integer completed years, age 18 is grid index 0, and entry ages at or past
 the pooling cap (default 60) are compiled together.
 
 Cleaned records are one columnar :class:`ClaimRecords`, claims sorted by
-(policy, age) with one in-place sort of a one-key column.  Every count table
-is an ``np.bincount``, of the capped entry ages or summed over blocks of claims.
+(policy, age) with one in-place sort of a one-key column.  The occurrence
+table and the duration histograms read two small tables that one walk over
+the claims counts, at the first call of either, and that the records keep;
+the no-claim table is an ``np.bincount`` of the capped entry ages.
 
 Past the record columns themselves, the working memory of cleaning,
 checking and counting is set by one block of ``_CLAIM_BLOCK`` claims and a
 few policy-length arrays, not by the claims or their order: each kept claim
 is stored once, as its (policy, age) key, the sort needs no buffer, the
-same-age rule compacts the sorted keys in place, the claim tables step
+same-age rule compacts the sorted keys in place, the one walk steps
 through blocks of whole policies, and the record checks run block by block.
 
 :func:`ingest` reads each CSV once, in reads of 8 Ki characters cut after
@@ -38,6 +40,7 @@ import io
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
 
@@ -154,6 +157,11 @@ class ClaimRecords:
             raise ValueError("claims must be sorted by (policy, age)")
         if np.any(entry < BASE_AGE) or any(np.any(bc < entry[bp]) for bp, bc in blocks):
             raise ValueError(f"entry ages must be >= {BASE_AGE} and no claim may predate its entry")
+
+    @cached_property
+    def _count_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only tables of :func:`_count_claims`, counted on first use and kept."""
+        return _count_claims(self)
 
 
 def _unsorted(p: np.ndarray, c: np.ndarray) -> bool:
@@ -445,14 +453,18 @@ def _policy_blocks(p: np.ndarray) -> Iterator[tuple[int, int]]:
     return pairwise([*cuts, len(p)])
 
 
-def _claim_steps(records: ClaimRecords) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per claim: its rank within the policy, its anchor and its booked age, a block at a time.
+def _count_claims(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray]:
+    """Claims by (anchor, booked age) and by (rank clipped at 3, duration), in one walk.
 
     The anchor is the previous claim's age, or the entry age for a first
-    claim.  A claim at its anchor age is booked one year later.  Each block
-    holds whole policies (see :func:`_policy_blocks`).
+    claim.  A claim at its anchor age is booked one year later.  Ages index
+    from ``BASE_AGE``; both tables are m wide, m = the oldest age + 2 -
+    ``BASE_AGE``, which holds every booked age.  The walk steps through blocks
+    of whole policies (see :func:`_policy_blocks`).
     """
-    p, c = records.claim_policy, records.claim_age
+    p, c, entry = records.claim_policy, records.claim_age, records.entry_age
+    m = max(entry.max(initial=BASE_AGE), c.max(initial=BASE_AGE)) + 2 - BASE_AGE
+    by_age, by_rank = np.zeros(m * m, dtype=np.int64), np.zeros(4 * m, dtype=np.int64)
     for lo, hi in _policy_blocks(p):
         bp, bc = p[lo:hi], c[lo:hi]
         first = np.ones(len(bp), dtype=bool)
@@ -460,23 +472,22 @@ def _claim_steps(records: ClaimRecords) -> Iterator[tuple[np.ndarray, np.ndarray
         start = np.flatnonzero(first)
         rank = np.arange(len(bp)) - np.repeat(start, np.diff(start, append=len(bp)))
         anchor = np.roll(bc, 1)
-        anchor[start] = records.entry_age[bp[start]]
-        yield rank, anchor, np.maximum(bc, anchor + 1)
+        anchor[start] = entry[bp[start]]
+        booked = np.maximum(bc, anchor + 1)
+        by_rank += np.bincount(np.minimum(rank, 3) * m + (booked - anchor), minlength=4 * m)
+        by_age += np.bincount((anchor - BASE_AGE) * m + (booked - BASE_AGE), minlength=m * m)
+    for table in (by_age, by_rank):
+        table.setflags(write=False)
+    return by_age.reshape(m, m), by_rank.reshape(4, m)
 
 
 def build_duration_histogram(records: ClaimRecords, transition: str = "merged") -> DurationHistogram:
     """Histogram of waiting times, anchor to booked age, for one transition or all pooled."""
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}; expected one of {TRANSITIONS}")
-    counts = np.zeros(1, dtype=np.int64)
-    for rank, anchor, booked in _claim_steps(records):
-        durations = booked - anchor
-        if transition != "merged":
-            durations = durations[rank == TRANSITIONS.index(transition)]
-        block = np.bincount(durations, minlength=len(counts))  # as long as the longest so far
-        block[: len(counts)] += counts
-        counts = block
-    return DurationHistogram(counts, transition)
+    by_rank = records._count_tables[1]
+    counts = by_rank.sum(axis=0) if transition == "merged" else by_rank[TRANSITIONS.index(transition)]
+    return DurationHistogram(counts[: np.flatnonzero(counts).max(initial=0) + 1], transition)
 
 
 def histogram_to_df(hist: DurationHistogram) -> np.ndarray:
@@ -527,16 +538,11 @@ def build_occurrence_table(records: ClaimRecords, cap_age: int = 60) -> Occurren
     """One count per retained claim at (renewal age, claim age), pooled at the cap."""
     _check_cap_age(cap_age)
     n = cap_age - BASE_AGE + 1
-    counts = np.zeros(n * n, dtype=np.int64)
-    dropped = 0
-    for _, s, t in _claim_steps(records):
-        for age in (s, t):  # the anchor and booked ages, pooled at the cap in place
-            np.minimum(age, cap_age, out=age)
-            age -= BASE_AGE
-        placed = s < t
-        counts += np.bincount(s[placed] * n + t[placed], minlength=n * n)
-        dropped += len(placed) - int(np.count_nonzero(placed))
-    return OccurrenceTable(counts.reshape(n, n), cap_age, dropped)
+    by_age = records._count_tables[0]
+    rows = np.arange(n)  # the last row and column sum those at and past the cap; the diagonal is dropped
+    pooled = np.pad(by_age, (0, max(n - len(by_age), 0)))
+    pooled = np.add.reduceat(np.add.reduceat(pooled, rows, axis=0), rows, axis=1)
+    return OccurrenceTable(np.triu(pooled, 1), cap_age, int(np.tril(pooled).sum()))
 
 
 def occurrence_to_nh_df(table: OccurrenceTable) -> tuple[TwoTimeMatrix, list[int]]:

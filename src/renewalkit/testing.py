@@ -12,6 +12,7 @@ __all__ = [
     "MESSY_POLICIES",
     "bernoulli_law",
     "geometric_law",
+    "nhpp_law",
     "poisson_law",
     "random_defective_df",
 ]
@@ -74,3 +75,19 @@ def poisson_law(lam: float, horizon: float, h: float) -> tuple[TwoTimeMatrix, Tw
     lag = grid.times()
     F = homogeneous_lift(1.0 - np.exp(-lam * lag), grid)
     return F, lift_duration_function(lam * np.exp(-lam * lag), grid, "density")
+
+
+def nhpp_law(h: float, horizon: float = 5.0) -> tuple[TwoTimeMatrix, TwoTimeMatrix, TwoTimeMatrix]:
+    """(F, f, H) of the Poisson process with intensity 0.6 + 0.5 sin x + 0.1 x on [0, horizon] at step h.
+
+    The exact age-dependent law, with Lambda(x) = 0.6 x + 0.5 (1 - cos x) + 0.05 x^2:
+    F(s, t) = 1 - exp(-(Lambda(t) - Lambda(s))), f(s, t) = lambda(t) exp(-(Lambda(t) - Lambda(s)))
+    and H(s, t) = Lambda(t) - Lambda(s).
+    """
+    grid = TimeGrid(0.0, h, int(round(horizon / h)) + 1)
+    x = grid.times()
+    cum = 0.6 * x + 0.5 * (1.0 - np.cos(x)) + 0.05 * x * x
+    H = np.triu(cum - cum[:, None])
+    survive = np.exp(-H)
+    f = TwoTimeMatrix(grid, (0.6 + 0.5 * np.sin(x) + 0.1 * x) * survive, "density")
+    return TwoTimeMatrix(grid, 1.0 - survive, "distribution"), f, TwoTimeMatrix(grid, H, "renewal")

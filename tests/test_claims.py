@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from renewalkit import claims, golden
+from renewalkit import claims, cli, golden
 from renewalkit.claims import (
     BASE_AGE,
     MAX_AGE,
@@ -31,6 +31,7 @@ from renewalkit.grids import TimeGrid
 from renewalkit.selftest import matches_published
 from renewalkit.simulate import sample_path
 from renewalkit.solver import homogeneous_lift
+from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES
 
 
 def _records(*triples):
@@ -631,18 +632,23 @@ def _reference_no_claim(triples, cap_age):
     return rows
 
 
+#: ages of the young band, or of the old band up to MAX_AGE, where a claim is booked at MAX_AGE + 1
+_AGES = st.one_of(st.integers(5, 80), st.integers(MAX_AGE - 10, MAX_AGE))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    entries=st.lists(st.one_of(st.just(""), st.integers(10, 70)), max_size=8),
-    claims=st.lists(st.tuples(st.integers(0, 7), st.integers(5, 80)), max_size=40),
+    entries=st.lists(st.one_of(st.just(""), st.integers(10, 70), st.integers(MAX_AGE - 10, MAX_AGE)), max_size=8),
+    claims=st.lists(st.tuples(st.integers(0, 7), _AGES), max_size=40),
     zero_duration=st.sampled_from(["bucket1", "discard"]),
-    cap_age=st.integers(BASE_AGE + 1, 75),
+    cap_age=st.one_of(st.integers(BASE_AGE + 1, 75), st.integers(MAX_AGE - 10, MAX_AGE)),
     impute=st.integers(BASE_AGE, 40),
 )
 def test_columnar_pipeline_matches_the_per_policy_reference(
     csv_writer, entries, claims, zero_duration, cap_age, impute
 ):
-    # blank, under-18 and pre-entry ages, duplicates and any claim order
+    # blank, under-18 and pre-entry ages, duplicates and any claim order; claims at MAX_AGE and
+    # caps up to MAX_AGE reach the last row and column of the count tables
     policies = [(f"P{i}", e) for i, e in enumerate(entries)]
     claims = [(f"P{i % len(policies)}", age) for i, age in claims] if policies else []
     cleaning = CleaningConfig(impute_entry_age=impute, zero_duration=zero_duration)
@@ -700,6 +706,24 @@ def test_count_tables_do_not_depend_on_the_claim_block(csv_writer, entries, rows
     for zero_duration in ("bucket1", "discard"):
         expected = _build_df(*files, zero_duration)
         assert _build_df_by_blocks(files, zero_duration) == [expected] * len(_CLAIM_BLOCKS)
+
+
+def test_build_df_walks_the_claims_once(tmp_path, monkeypatch):
+    walks, read = [], []
+    count, ingest_ = claims._count_claims, cli.ingest
+    monkeypatch.setattr(claims, "_count_claims", lambda records: walks.append(records) or count(records))
+    monkeypatch.setattr(cli, "ingest", lambda *args: read.append(ingest_(*args)) or read[-1])
+    (tmp_path / "policies.csv").write_text(MESSY_POLICIES)
+    (tmp_path / "claims.csv").write_text(MESSY_CLAIMS)
+    argv = ["--policies", "policies.csv", "--claims", "claims.csv", "--out-dir", "out", "--cap-age", "40"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["build-df", *argv]) == 0
+    (records, _), = read
+    assert walks == [records]
+    # a second cap and every transition again read the tables counted by that one walk
+    assert build_occurrence_table(records, 60).dropped_beyond_cap == 3
+    assert [build_duration_histogram(records, tr).total for tr in TRANSITIONS] == [7, 6, 2, 15]
+    assert walks == [records]
 
 
 def _corpus_with_cuts(block):

@@ -19,7 +19,7 @@ from renewalkit.solver import (
     solve_series,
 )
 from renewalkit.simulate import SimConfig, estimate_renewal_function
-from renewalkit.testing import bernoulli_law, geometric_law, poisson_law, random_defective_df
+from renewalkit.testing import bernoulli_law, geometric_law, nhpp_law, poisson_law, random_defective_df
 
 GRID3 = TimeGrid(0.0, 1.0, 3)
 SINGLE_STEP = [[0, 0.5, 1.0], [0, 0, 1.0], [0, 0, 0]]
@@ -292,6 +292,23 @@ def test_bernoulli_law_is_solved_exactly_by_every_route():
     assert np.all(est.means[~random] == want[~random])  # t = 0: no path renews
     z = statistics.NormalDist().inv_cdf(1 - 0.01 / (2 * random.sum()))  # Bonferroni at 1 %
     assert np.all(np.abs(est.means - want)[random] <= z * est.std_errs[random])
+
+
+#: the least observed sup-norm order of each rule on the NHPP law; rect-right reads 0.90 at the
+#: coarsest halving, and the odd spans' first trapezoid step caps Simpson's order at 3 (Linz 1985)
+_NHPP_ORDERS = {"rect-right": 0.85, "rect-left": 0.85, "trapezoid": 1.9, "simpson": 2.8}
+
+
+@pytest.mark.parametrize("rule", RULE_WEIGHTS)
+def test_every_rule_refines_at_its_order_on_a_non_homogeneous_law(rule):
+    # an age-dependent law with H in closed form, so a wrong weight in the table shows as a lost order,
+    # with no second copy of the table: each Simpson mutant of an odd-span weight drops it to 1 or 2
+    errs = []
+    for h in (0.1, 0.05, 0.025, 0.0125):
+        F, f, H = nhpp_law(h)
+        errs.append(np.abs(solve_quadrature(f, F, SolverMethod(rule)).values - H.values).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert orders.min() >= _NHPP_ORDERS[rule], orders
 
 
 def test_solver_method_validation():

@@ -52,6 +52,13 @@ _CRLF_PAD = 5
 #: zeros added to each id of the long-cr corpus, making ids of 2,000 characters: csv reads its CR-only
 #: lines, and each batch of rows it hands on then holds only a few of them
 _LONG_PAD = 1993
+#: the old corpus: entry ages 140-150, claims at 150 (booked at 151 after a claim or an entry at 150),
+#: same-age pairs and a pre-entry claim, and one young policy, so build-df's count tables are widest
+_OLD = {
+    "policies.csv": "policy_id,entry_age\nO1,140\nO2,145\nO3,150\nO4,148\nO5,30\n",
+    "claims.csv": "policy_id,claim_age\nO1,150\nO1,139\nO1,150\nO1,141\nO2,146\nO2,150\nO2,146\n"
+    "O3,150\nO3,150\nO4,149\nO4,150\nO5,40\nO5,150\n",
+}
 #: a law whose row 0 dips twice by 9e-10, inside the validation slack
 _DIPPED_LAW = "".join(
     ["# grid origin=0 h=1 n=6 kind=distribution\n", "0\t1\t0.99999999910000001\t1\t0.99999999910000001\t1\n"]
@@ -122,6 +129,9 @@ def write_inputs(where: Path) -> None:
         header, *rows = (where / "c15" / name).read_text().splitlines()
         text = "\r".join([header, *(row.replace("P", "P" + "0" * _LONG_PAD, 1) for row in rows)]) + "\r"
         (where / "long-cr" / name).write_text(text, "utf-8", newline="")
+    (where / "old").mkdir()
+    for name, text in _OLD.items():
+        (where / "old" / name).write_text(text)
     for name, (policies, claims) in {"messy": ("", ""), **_FAULTS}.items():
         (where / name).mkdir()
         for file, text in (("policies.csv", MESSY_POLICIES + policies), ("claims.csv", MESSY_CLAIMS + claims)):
@@ -147,6 +157,10 @@ def invocations() -> list[list[str]]:
                          "--out-dir", f"out/c10k-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
         runs.append(["build-df", "--policies", "in/c10k-shuffled/policies.csv", "--claims",
                      "in/c10k-shuffled/claims.csv", "--out-dir", f"out/c10k-shuffled-{mode}", "--zero-duration", mode])
+    for mode in ("bucket1", "discard"):
+        for cap in ("60", "150"):  # at 60 the old policies' claims are dropped; at 150 the tables are widest
+            runs.append(["build-df", "--policies", "in/old/policies.csv", "--claims", "in/old/claims.csv",
+                         "--out-dir", f"out/old-{mode}-{cap}", "--zero-duration", mode, "--cap-age", cap])
     for corpus in ("signed", "umlaut-cr", "late-utf8", "crlf-cut", "long-cr"):
         for mode in ("bucket1", "discard"):
             runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv", "--claims", f"in/{corpus}/claims.csv",
