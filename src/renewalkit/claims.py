@@ -28,9 +28,9 @@ the first block that is not plain (a blank, padded, quoted or ragged line, a
 non-ASCII character, CR-only or mixed line ends, no line feed at all, a byte
 that is not UTF-8, or more than the csv field limit), ``csv`` reads the rest
 of the file.
-A block that fails any check is walked again row by row, only to raise: each
-error names the file and the physical line of the first failing record,
-whichever check it fails.
+Each block is read once: the ages before its first id fault (a duplicate or
+unknown id), then the fault, so each error names the file and the physical
+line of the first failing record, whichever check it fails.
 """
 
 from __future__ import annotations
@@ -197,9 +197,10 @@ def ingest(
     unknown policies raise with the file and line number.
 
     Each block of records from :func:`_records` is checked and stored at
-    once; a block that fails any check is first walked row by row, only to
-    raise at the first failing line, whichever check it fails.  A malformed
-    age on a rejected policy's claim is not read, so it does not fail.
+    once.  The ages of the rows before its first id fault, if any, are read
+    at their lines (see :func:`_bulk_ages`), so a bad age there raises
+    first; the fault then raises at its line.  A malformed age on a rejected
+    policy's claim is not read, so it does not fail.
     A kept claim (not before its entry, nor at it under "discard") is stored
     once, as the key ``policy * (MAX_AGE + 1) + age``; after one in-place sort,
     "discard" keeps the first of each run of equal keys, and one ``np.divmod``
@@ -213,14 +214,16 @@ def ingest(
     blank = str(cleaning.impute_entry_age)  # read in place of a blank entry age
     for linenos, pids, texts in _records(policies_file, ("policy_id", "entry_age")):
         imputed = texts.count("")
-        entry = _bulk_ages([t or blank for t in texts] if imputed else texts)
-        if entry is None or len(set(pids)) < len(pids) or not index.keys().isdisjoint(pids):
+        texts = [t or blank for t in texts] if imputed else texts
+        if len(set(pids)) < len(pids) or not index.keys().isdisjoint(pids):
             seen: set[str] = set()
-            for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
+            for at, pid in enumerate(pids):  # the first id read before, in this block or an earlier one
                 if pid in index or pid in seen:
-                    raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
+                    break
                 seen.add(pid)
-                _parse_age(text or blank, policies_file, lineno)
+            _bulk_ages(texts[:at], policies_file, linenos)  # a bad age before the duplicate raises first
+            raise ValueError(f"{policies_file}:{linenos[at]}: duplicate policy_id {pids[at]!r}")
+        entry = _bulk_ages(texts, policies_file, linenos)
         keep = entry >= BASE_AGE
         report.policies_read += len(pids)
         report.imputed_entries += imputed
@@ -233,15 +236,12 @@ def ingest(
     late = cleaning.zero_duration == "discard"  # a claim at its entry age is dropped too
     for linenos, pids, texts in _records(claims_file, ("policy_id", "claim_age")):
         owner = np.fromiter(map(index.get, pids, repeat(-2)), np.int64, len(pids))  # -2: unknown
-        kept = owner >= 0
-        # a rejected policy's claim ages are not read
-        age = _bulk_ages(texts if kept.all() else list(compress(texts, kept.tolist())))
-        if age is None or owner.min(initial=0) < -1:
-            for lineno, pid, text in zip(linenos, pids, texts):  # row by row: the first bad row raises
-                if pid not in index:
-                    raise ValueError(f"{claims_file}:{lineno}: claim references unknown policy_id {pid!r}")
-                if index[pid] >= 0:
-                    _parse_age(text, claims_file, lineno)
+        at = int(owner.argmin()) if owner.min(initial=0) < -1 else len(pids)  # the first unknown id
+        kept = owner[:at] >= 0  # no age is read of a rejected policy's claim, nor from an unknown id on
+        texts = texts if at == len(pids) and kept.all() else list(compress(texts, kept.tolist()))
+        age = _bulk_ages(texts, claims_file, compress(linenos, kept))
+        if at < len(pids):
+            raise ValueError(f"{claims_file}:{linenos[at]}: claim references unknown policy_id {pids[at]!r}")
         report.claims_read += len(pids)
         owner = owner[kept]
         keep = age >= entry[owner] + late
@@ -250,12 +250,11 @@ def ingest(
 
     p = np.asarray(keys, dtype=np.int64)
     p.sort()  # in place, with no merge buffer, whatever the order of the claims
-    if late:  # of each run of same-age claims keep the first, compacted block by block in place
+    if late:  # of each run of equal keys (same-age claims) keep the first, compacted in place
         kept = 0
-        for lo in range(0, len(p), _CLAIM_BLOCK):
-            block = p[lo : lo + _CLAIM_BLOCK]
-            # the carry, p[lo - 1], is read before this block's kept keys may be written over it
-            first = np.diff(block, prepend=p[lo - 1] if lo else -1) != 0
+        for lo, hi in _run_blocks(p):
+            block = p[lo:hi]
+            first = np.diff(block, prepend=-1) != 0
             size = int(np.count_nonzero(first))
             p[kept : kept + size] = block[first]
             kept += size
@@ -377,20 +376,18 @@ def _undecodable(fields: list[str]) -> str:
     return bad and f"byte {ord(bad) - 0xDC00:#04x} is not UTF-8"
 
 
-def _bulk_ages(texts: list[str]) -> np.ndarray | None:
-    """The ages of a block of texts, clamped as by :func:`_parse_age`, or None if any is not an age.
+def _bulk_ages(texts: list[str], path: str | Path, linenos: Iterable[int]) -> np.ndarray:
+    """The ages of a block of texts on lines ``linenos`` of ``path``, clamped as by :func:`_parse_age`.
 
     A block of canonical texts, ``str(i)`` for i in 0..``MAX_AGE``, is read
     from a table; a block with any other text (a sign, a leading zero, or one
-    that would raise) goes through :func:`_parse_age`.
+    that is not an age) goes through :func:`_parse_age`, which raises at the
+    first text that is not an age, with its file and line.
     """
     try:
         return np.fromiter(map(_AGE_OF.__getitem__, texts), np.int64, len(texts))
     except KeyError:
-        try:  # no location: the row walk names the first bad age
-            return np.fromiter(map(_parse_age, texts, repeat(""), repeat(0)), np.int64, len(texts))
-        except ValueError:
-            return None
+        return np.fromiter(map(_parse_age, texts, repeat(path), linenos), np.int64, len(texts))
 
 
 def _parse_age(text: str, path: str | Path, lineno: int) -> int:
@@ -441,16 +438,17 @@ class DurationHistogram:
         return int(self.counts.sum())
 
 
-def _policy_blocks(p: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(lo, hi) of each block of whole policies, over claims sorted by policy ``p``.
+def _run_blocks(v: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of each block of whole runs of equal values, over sorted ``v``.
 
-    A block starts at the first claim of the policy of every ``_CLAIM_BLOCK``-th
-    claim, so it holds about that many claims, and more only where one policy does.
+    A block starts at the first value of the run holding every ``_CLAIM_BLOCK``-th
+    value, so it holds about that many values, and more only where one run does;
+    no run spans two blocks.
     """
-    # dict.fromkeys drops the cuts repeated where a policy spans a block (numpy's sorting
+    # dict.fromkeys drops the cuts repeated where a run spans a block (numpy's sorting
     # dedup would add about 1 MB resident at its first call)
-    cuts = dict.fromkeys(np.searchsorted(p, p[::_CLAIM_BLOCK], side="left").tolist())
-    return pairwise([*cuts, len(p)])
+    cuts = dict.fromkeys(np.searchsorted(v, v[::_CLAIM_BLOCK], side="left").tolist())
+    return pairwise([*cuts, len(v)])
 
 
 def _count_claims(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray]:
@@ -460,12 +458,12 @@ def _count_claims(records: ClaimRecords) -> tuple[np.ndarray, np.ndarray]:
     claim.  A claim at its anchor age is booked one year later.  Ages index
     from ``BASE_AGE``; both tables are m wide, m = the oldest age + 2 -
     ``BASE_AGE``, which holds every booked age.  The walk steps through blocks
-    of whole policies (see :func:`_policy_blocks`).
+    of whole policies, the runs of equal ``claim_policy`` (see :func:`_run_blocks`).
     """
     p, c, entry = records.claim_policy, records.claim_age, records.entry_age
     m = max(entry.max(initial=BASE_AGE), c.max(initial=BASE_AGE)) + 2 - BASE_AGE
     by_age, by_rank = np.zeros(m * m, dtype=np.int64), np.zeros(4 * m, dtype=np.int64)
-    for lo, hi in _policy_blocks(p):
+    for lo, hi in _run_blocks(p):
         bp, bc = p[lo:hi], c[lo:hi]
         first = np.ones(len(bp), dtype=bool)
         first[1:] = bp[1:] != bp[:-1]

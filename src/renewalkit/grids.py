@@ -233,6 +233,8 @@ def _parse_matrix_tsv(fh) -> TwoTimeMatrix:
     for i, line in enumerate(lines[:n]):
         row = line.rstrip("\n").split("\t")
         try:
+            if not line.isascii() or "_" in line:  # float() reads '0.2_5' and non-ASCII digits too
+                raise ValueError
             values[i, i:] = [float(x) for x in row]
         except ValueError:
             j = next(j for j, x in enumerate(row) if not _is_float(x))
@@ -243,6 +245,8 @@ def _parse_matrix_tsv(fh) -> TwoTimeMatrix:
 
 
 def _is_float(text: str) -> bool:
+    if not text.isascii() or "_" in text:
+        return False
     try:
         float(text)
     except ValueError:

@@ -103,7 +103,7 @@ def solve_series(F: TwoTimeMatrix, tol: float = 1e-12) -> SeriesResult:
     grid step, F^(n) vanishes identically for n >= n_points, so the sum ends
     after at most n_points - 1 terms for any valid F and any positive tol.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     powers = convolution_powers(F, F.values)
     H, n_terms = next(powers).copy(), 1
@@ -176,7 +176,7 @@ def counting_pmf(
     mass at (s, t) drops below ``tol``, which bounds the discarded tail by
     that same value.  At most t - s + 1 orders are nonzero.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     n = F.n_points
     if not (0 <= s_idx <= t_idx < n):

@@ -249,11 +249,19 @@ def test_ingest_reads_an_age_as_a_sign_and_ascii_digits(csv_writer, tmp_path):
 def test_an_age_block_reads_the_same_through_the_table_and_through_parse_age():
     # a sign sends a block off the table of canonical texts, through _parse_age
     texts = [str(age) for age in range(MAX_AGE + 1)]
-    by_table = claims._bulk_ages(texts).tolist()
+    lines = range(2, MAX_AGE + 4)
+    by_table = claims._bulk_ages(texts, "", lines).tolist()
     assert by_table == [claims._parse_age(text, "", 0) for text in texts]
     assert by_table == [max(age, BASE_AGE - 1) for age in range(MAX_AGE + 1)]
-    assert claims._bulk_ages([*texts, "+0"]).tolist() == [*by_table, BASE_AGE - 1]
-    assert claims._bulk_ages(["5", "30"]).tolist() == claims._bulk_ages(["5", "+30"]).tolist() == [17, 30]
+    assert claims._bulk_ages([*texts, "+0"], "", lines).tolist() == [*by_table, BASE_AGE - 1]
+    assert (
+        claims._bulk_ages(["5", "30"], "", lines).tolist()
+        == claims._bulk_ages(["5", "+30"], "", lines).tolist()
+        == [17, 30]
+    )
+    # off the table, the first text that is not an age raises at its own line
+    with pytest.raises(ValueError, match=r"^ages\.csv:7: malformed age 'x'$"):
+        claims._bulk_ages(["+5", "30", "x", "y"], "ages.csv", [4, 5, 7, 9])
 
 
 def test_ingest_strips_non_ascii_whitespace(csv_writer):
@@ -308,9 +316,16 @@ def test_the_first_failing_line_wins(csv_writer, tmp_path, monkeypatch, first_ro
         ("claims", "A,old\nZ,31\n", "3: malformed age 'old'"),
         ("claims", "Z,31\nA,old\n", "3: claim references unknown policy_id 'Z'"),
         ("claims", "A\nA,151\n", "3: expected 2 fields, got 1"),
+        ("claims", "Z,old\n", "3: claim references unknown policy_id 'Z'"),  # the id fault wins on its row
+        ("claims", "A,+30\nZ,31\n", "4: claim references unknown policy_id 'Z'"),
+        ("claims", "A,+151\nZ,31\n", f"3: age 151 outside the accepted range (at most {MAX_AGE})"),
         ("claims", "A,151\nA\n", f"3: age 151 outside the accepted range (at most {MAX_AGE})"),
         ("policies", "C,old\nA,31\n", "3: malformed age 'old'"),
         ("policies", "A,31\nC,old\n", "3: duplicate policy_id 'A'"),
+        ("policies", "A,old\n", "3: duplicate policy_id 'A'"),  # the id fault wins on its row
+        ("policies", "C,+30\nA,31\n", "4: duplicate policy_id 'A'"),
+        ("policies", "C,+151\nA,31\n", f"3: age 151 outside the accepted range (at most {MAX_AGE})"),
+        ("policies", "C,-3\nC,old\n", "4: duplicate policy_id 'C'"),  # a rejected policy's id is known
         ("policies", "C,17\nD,1,2\n", "4: expected 2 fields, got 3"),
     ]
     for i, (file, rows, want) in enumerate(cases):

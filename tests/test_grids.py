@@ -226,6 +226,12 @@ def test_tsv_rejects_malformed_files(tmp_path):
     expected = f"{unparsable}: row 0, column 1: cannot parse 'abc'"
     with pytest.raises(ValueError, match=re.escape(expected)):
         read_matrix_tsv(unparsable)
+    # float() also reads a digit separator and non-ASCII digits; the reader does not
+    for cell in ("0.2_5", "\u0660.\u0665"):
+        unparsable.write_text(lines[0] + f"\n0\t{cell}\n0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_matrix_tsv(unparsable)
+        assert str(exc.value) == f"{unparsable}: row 0, column 1: cannot parse {cell!r}"
 
     trailing = tmp_path / "trailing.tsv"
     trailing.write_text("\n".join(lines) + "\njunk\n")

@@ -77,6 +77,15 @@ def test_solve_series_zero_df():
     assert not res.renewal.values.any()
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_a_tolerance_that_is_not_positive_is_rejected(tol):
+    # a NaN tol passes "tol <= 0", and no "max < nan" ever stops the series
+    F = geometric_law(0.3, 5)
+    for call in (lambda: solve_series(F, tol=tol), lambda: counting_pmf(F, 0, 5, tol=tol)):
+        with pytest.raises(ValueError, match=rf"^tol must be positive, got {tol}$"):
+            call()
+
+
 def test_solve_series_matches_solve_discrete_on_random_input():
     rng = np.random.default_rng(37)
     for _ in range(20):

@@ -46,6 +46,13 @@ _FAULTS = {
 _AGE_FORMS = ("{}", "+{}", "0{}", "00{}")
 #: rows added to the signed corpus: an underage policy, its claim, a pre-entry and a padded claim
 _SIGNED_ROWS = {"policies.csv": "N1,-3\n", "claims.csv": "N1,+24\nP000000,-3\nP000001,0031\n"}
+#: rows added to the policies and claims of copies of the signed corpus, each making build-df fail where
+#: the reader splits the lines itself and reads the off-table ages before the fault at their lines
+_SIGNED_FAULTS = {
+    "signed-duplicate": ("N1,+41\n", ""),
+    "signed-bad-age": ("", "P000001,+4o\n"),
+    "signed-unknown": ("", "ZZ,4o\n"),
+}
 #: zeros added to each id of the crlf-cut corpus, which puts a read boundary of each of its files between
 #: a CR and its LF
 _CRLF_PAD = 5
@@ -108,6 +115,10 @@ def write_inputs(where: Path) -> None:
             for i, (pid, _, age) in enumerate(row.partition(",") for row in rows)
         )
         (where / "signed" / name).write_text(f"{header}\n{body}{extra}")
+    for corpus, extra in _SIGNED_FAULTS.items():
+        (where / corpus).mkdir()
+        for name, text in zip(("policies.csv", "claims.csv"), extra):
+            (where / corpus / name).write_text((where / "signed" / name).read_text() + text)
     # traffic off the fast route: csv reads every block of the first corpus, and the last block of the second
     c3k = {name: (where / "c3k" / name).read_text().splitlines() for name in ("policies.csv", "claims.csv")}
     last = c3k["claims.csv"][-1].partition(",")[0]  # the policy whose rows end both files
@@ -165,7 +176,7 @@ def invocations() -> list[list[str]]:
         for mode in ("bucket1", "discard"):
             runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv", "--claims", f"in/{corpus}/claims.csv",
                          "--out-dir", f"out/{corpus}-{mode}", "--zero-duration", mode])
-    for name in _FAULTS:
+    for name in (*_FAULTS, *_SIGNED_FAULTS):
         runs.append(["build-df", "--policies", f"in/{name}/policies.csv", "--claims", f"in/{name}/claims.csv",
                      "--out-dir", f"out/{name}"])
     for name, df in (("law501", "in/law501.tsv"), ("c3k", "out/c3k-bucket1-60/waiting_df_by_age.tsv"),
