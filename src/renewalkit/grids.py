@@ -3,10 +3,18 @@
 A ``TwoTimeMatrix`` stores values a(s, t) for grid indices s <= t and is the
 shared container for waiting-time distributions F(s,t), their one-step
 increments v(s,t), renewal functions H(s,t) and densities f(s,t).
+
+The matrix TSV reader has one number rule for the header's ``origin`` and
+``h`` and for every cell: ASCII text with no ``_`` that ``float()`` reads.
+The header's ``n`` is ASCII digits, and the last grid time must be finite.
+A byte that is not UTF-8 fails at its cell.  The reader makes one forward
+pass: n rows by ``readline``, then fixed-size reads up to the first
+character after them that is not blank.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -58,6 +66,12 @@ class TimeGrid:
             raise ValueError(f"step_h must be positive and finite, got {self.step_h}")
         if self.n_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.n_points}")
+        try:
+            last = self.origin + (self.n_points - 1) * self.step_h
+        except OverflowError:  # n - 1 itself is past the largest float
+            last = math.inf
+        if not math.isfinite(last):
+            raise ValueError(f"last grid time {self.origin} + {self.n_points - 1} * {self.step_h} is not finite")
 
     def time_of(self, i: int) -> float:
         if not 0 <= i < self.n_points:
@@ -189,8 +203,10 @@ def require_kind(matrix: TwoTimeMatrix, *kinds: str) -> None:
 
 
 _HEADER_RE = re.compile(
-    r"^# grid origin=(?P<origin>\S+) h=(?P<h>\S+) n=(?P<n>\d+) kind=(?P<kind>\S+)$"
+    r"^# grid origin=(?P<origin>\S+) h=(?P<h>\S+) n=(?P<n>[0-9]+) kind=(?P<kind>\S+)$"
 )
+#: characters read at a time after the rows, up to the first that is not blank
+_TAIL_CHARS = 1 << 13
 
 
 def write_matrix_tsv(matrix: TwoTimeMatrix, path: str | Path) -> None:
@@ -209,7 +225,8 @@ def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
     """Read a matrix written by :func:`write_matrix_tsv`; every error names the file."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate, which the number rule rejects at its cell
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return _parse_matrix_tsv(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -220,38 +237,36 @@ def _parse_matrix_tsv(fh) -> TwoTimeMatrix:
     m = _HEADER_RE.match(header)
     if m is None:
         raise ValueError(f"malformed header line {header!r}")
-    n = int(m.group("n"))
-    grid = TimeGrid(float(m.group("origin")), float(m.group("h")), n)
-    lines = fh.readlines()
+    n = int(m["n"])
+    grid = TimeGrid(_number(m["origin"], "header origin"), _number(m["h"], "header h"), n)
+    lines = [line for _, line in zip(range(n), iter(fh.readline, ""))]
     # count the rows and their cells before trusting the header's n with an n x n allocation
     if len(lines) < n:
         raise ValueError(f"expected {n} data rows, found {len(lines)}")
-    for i, line in enumerate(lines[:n]):
+    for i, line in enumerate(lines):
         if (cells := line.count("\t") + 1) != n - i:
             raise ValueError(f"row {i} has {cells} values, expected {n - i}")
     values = np.zeros((n, n))
-    for i, line in enumerate(lines[:n]):
+    for i, line in enumerate(lines):
         row = line.rstrip("\n").split("\t")
-        try:
-            if not line.isascii() or "_" in line:  # float() reads '0.2_5' and non-ASCII digits too
+        try:  # a line is ASCII and free of '_' exactly when each of its cells is
+            if not line.isascii() or "_" in line:
                 raise ValueError
             values[i, i:] = [float(x) for x in row]
         except ValueError:
-            j = next(j for j, x in enumerate(row) if not _is_float(x))
-            raise ValueError(f"row {i}, column {i + j}: cannot parse {row[j]!r}") from None
-    if "".join(lines[n:]).strip():
-        raise ValueError(f"unexpected content after {n} data rows")
-    return TwoTimeMatrix(grid, values, m.group("kind"))
+            values[i, i:] = [_number(x, f"row {i}, column {j}") for j, x in enumerate(row, i)]
+    while tail := fh.read(_TAIL_CHARS):
+        if not tail.isspace():
+            raise ValueError(f"unexpected content after {n} data rows")
+    return TwoTimeMatrix(grid, values, m["kind"])
 
 
-def _is_float(text: str) -> bool:
-    if not text.isascii() or "_" in text:
-        return False
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _number(text: str, where: str) -> float:
+    """The file's one number rule: ASCII text with no '_' that float() reads ('0.2_5' is not one)."""
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise ValueError(f"{where}: cannot parse {text!r}")
 
 
 def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable]) -> None:

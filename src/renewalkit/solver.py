@@ -214,9 +214,17 @@ def homogeneous_lift(F1: np.ndarray, grid: TimeGrid) -> TwoTimeMatrix:
 def density_from_differences(F: TwoTimeMatrix) -> TwoTimeMatrix:
     """Step-function density from backward differences: f = v / h, f(u, u) = 0.
 
-    This is the density stand-in for empirical distributions; with the
-    right-rectangle rule and h = 1 it makes the quadrature solve coincide
-    with the exact discrete solve.
+    This is the density stand-in for empirical distributions.  With f(u, u) = 0
+    and H(t, t) = 0 the end weights drop out, and every interior node weighs
+    h * v / h = v, so the rect-right, rect-left and trapezoid solves on it
+    coincide with the exact discrete solve to round-off at every h.  A step so
+    small that v / h overflows fails with the step named.
     """
     v = increments_from_df(F)
-    return TwoTimeMatrix(F.grid, v.values / F.grid.step_h, "density")
+    h = F.grid.step_h
+    with np.errstate(over="ignore"):
+        f = v.values / h
+    if not np.isfinite(f).all():
+        s, t = np.argwhere(~np.isfinite(f))[0]
+        raise ValueError(f"density v / h overflows at ({s}, {t}): step h = {h} is too small")
+    return TwoTimeMatrix(F.grid, f, "density")

@@ -146,6 +146,22 @@ def test_solve_rejects_a_non_finite_grid(tmp_path, capsys, field, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["exact", *RULE_WEIGHTS])
+def test_solve_on_a_subnormal_step_names_the_step_or_succeeds(tmp_path, capsys, method):
+    # v / h overflows at h = 1e-320; the exact solve never divides by h.  Warnings are errors
+    # here, so a raw numpy overflow warning would surface as the CLI's error line instead
+    path = tmp_path / "subnormal.tsv"
+    path.write_text("# grid origin=0 h=1e-320 n=3 kind=distribution\n0\t0.5\t1\n0\t1\n0\n")
+    out = tmp_path / "H.tsv"
+    rc = main(["solve", "--df", str(path), "--method", method, "--out", str(out)])
+    err = capsys.readouterr().err
+    if method == "exact":
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (1, "error: density v / h overflows at (0, 1): step h = 1e-320 is too small\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "report"])
 def test_a_matrix_of_short_rows_fails_before_the_n_by_n_allocation(tmp_path, capsys, command):
     # 10**6 one-cell rows under a header of n = 10**6: 2 MB, where an n x n matrix is 7.28 TiB

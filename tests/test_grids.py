@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ def test_grid_rejects_bad_parameters():
     for step in (math.nan, math.inf):
         with pytest.raises(ValueError, match="step_h must be positive and finite"):
             TimeGrid(0.0, step, 5)
+    # the last time overflows though origin and step are finite, and n - 1 past the largest float
+    with pytest.raises(ValueError, match=re.escape("last grid time 1e+308 + 2 * 1e+308 is not finite")):
+        TimeGrid(1e308, 1e308, 3)
+    with pytest.raises(ValueError, match="last grid time 0.0 [+] 9{400} [*] 1e-300 is not finite"):
+        TimeGrid(0.0, 1e-300, 10**400)
 
 
 def test_grid_rejects_off_grid_times():
@@ -233,6 +239,17 @@ def test_tsv_rejects_malformed_files(tmp_path):
             read_matrix_tsv(unparsable)
         assert str(exc.value) == f"{unparsable}: row 0, column 1: cannot parse {cell!r}"
 
+    # a byte that is not UTF-8 fails at its cell, not at the decoder's buffer position
+    unparsable.write_bytes(lines[0].encode() + b"\n0\t0.\xff5\n0\n")
+    with pytest.raises(ValueError) as exc:
+        read_matrix_tsv(unparsable)
+    assert str(exc.value) == f"{unparsable}: row 0, column 1: cannot parse '0.\\udcff5'"
+
+    # a file both short and ragged reports the row count first
+    short.write_text(lines[0].replace("n=2", "n=3") + "\n0\t0.5\textra\n0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{short}: expected 3 data rows, found 2")):
+        read_matrix_tsv(short)
+
     trailing = tmp_path / "trailing.tsv"
     trailing.write_text("\n".join(lines) + "\njunk\n")
     with pytest.raises(ValueError, match="unexpected content"):
@@ -250,8 +267,12 @@ def test_tsv_rejects_malformed_files(tmp_path):
     cases = {
         "one_point": (header.replace("n=2", "n=1"), "need at least 2 grid points, got 1"),
         "bogus_kind": (header.replace("kind=distribution", "kind=bogus"), "unknown kind 'bogus'"),
-        "bad_origin": (header.replace("origin=0", "origin=zero"), "could not convert string to float: 'zero'"),
-        "bad_step": (header.replace("h=1", "h=1x"), "could not convert string to float: '1x'"),
+        "bad_origin": (header.replace("origin=0", "origin=zero"), "header origin: cannot parse 'zero'"),
+        "bad_step": (header.replace("h=1", "h=1x"), "header h: cannot parse '1x'"),
+        # the header's numbers follow the cells' rule, and n is ASCII digits
+        "arabic_origin": (header.replace("origin=0 h=1", "origin=\u0660 h=1_0"), "header origin: cannot parse '\u0660'"),
+        "separated_step": (header.replace("h=1", "h=1_0"), "header h: cannot parse '1_0'"),
+        "arabic_n": (header.replace("n=2", "n=\u0662"), "malformed header line"),
         "nan_origin": (header.replace("origin=0", "origin=nan"), "origin must be finite, got nan"),
         "inf_step": (header.replace("h=1", "h=inf"), "step_h must be positive and finite, got inf"),
     }
@@ -265,6 +286,23 @@ def test_tsv_rejects_malformed_files(tmp_path):
     expected = f"{too_big}: distribution value a(0,1) = 2.0 exceeds 1"
     with pytest.raises(ValueError, match=re.escape(expected)):
         read_matrix_tsv(too_big)
+
+
+def test_trailing_content_is_read_in_bounded_memory(tmp_path):
+    # a valid n = 2 matrix, then blanks and one junk line: the reader scans the blanks in fixed
+    # blocks and stops at the junk, so its peak is the same for a 4 MB and a 16 MB tail
+    head = "# grid origin=0 h=1 n=2 kind=distribution\n0\t0.5\n0\n"
+    path = tmp_path / "tail.tsv"
+    for mib in (4, 16):
+        path.write_text(head + " \t\n" * ((mib << 20) // 3) + "junk\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="unexpected content after 2 data rows"):
+                read_matrix_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (mib, peak)
 
 
 def test_written_files_follow_the_umask(tmp_path):

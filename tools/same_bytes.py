@@ -71,6 +71,23 @@ _DIPPED_LAW = "".join(
     ["# grid origin=0 h=1 n=6 kind=distribution\n", "0\t1\t0.99999999910000001\t1\t0.99999999910000001\t1\n"]
     + ["\t".join(["0"] * (6 - i)) + "\n" for i in range(1, 6)]
 )
+#: matrix files that report --matrix rejects, one fault each: blanks then junk after the rows, a missing
+#: row, a ragged row, a cell that is no number, and (written with surrogateescape) a cell holding the byte 0xff
+_MATRIX_FAULTS = {
+    "tail-junk": "0\t0.5\n0\n" + " \t\n" * 5000 + "junk\n",
+    "short-rows": "0\t0.5\n",
+    "ragged-row": "0\t0.5\t1\n0\n",
+    "bad-cell": "0\tabc\n0\n",
+    "byte-cell": "0\t0.\udcff5\n0\n",
+}
+#: headers that solve rejects, or whose step its quadrature rules cannot divide by, with the method run
+_GRID_FAULTS = {
+    "digits-header": ("# grid origin=\u0660 h=1_0 n=2 kind=distribution\n0\t0.5\n0\n", "exact"),
+    "letter-step-header": ("# grid origin=0 h=1x n=2 kind=distribution\n0\t0.5\n0\n", "exact"),
+    "n-digit-header": ("# grid origin=0 h=1 n=\u0662 kind=distribution\n0\t0.5\n0\n", "exact"),
+    "overflow-grid": ("# grid origin=1e308 h=1e308 n=3 kind=distribution\n0\t0.5\t1\n0\t1\n0\n", "exact"),
+    "subnormal-step": ("# grid origin=0 h=1e-320 n=3 kind=distribution\n0\t0.5\t1\n0\t1\n0\n", "trapezoid"),
+}
 
 # runs every invocation in-process and prints [exit code, stdout, stderr] per invocation
 _DRIVER = """
@@ -151,6 +168,11 @@ def write_inputs(where: Path) -> None:
     write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
     write_matrix_tsv(inputs.generating_df(256, 0.2), where / "law256.tsv")
     (where / "dip.tsv").write_text(_DIPPED_LAW)
+    for name, body in _MATRIX_FAULTS.items():
+        text = "# grid origin=0 h=1 n=2 kind=distribution\n" + body
+        (where / f"{name}.tsv").write_text(text, encoding="utf-8", errors="surrogateescape")
+    for name, (text, _) in _GRID_FAULTS.items():
+        (where / f"{name}.tsv").write_text(text, encoding="utf-8")
 
 
 def invocations() -> list[list[str]]:
@@ -197,6 +219,10 @@ def invocations() -> list[list[str]]:
     ):
         runs.append(["simulate", "--df", df, "--paths", paths, "--seed", seed, "--start", start,
                      "--horizon", horizon, "--out", f"out/sim-{seed}.tsv"])
+    for name in _MATRIX_FAULTS:
+        runs.append(["report", "--matrix", f"in/{name}.tsv", "--out", f"out/report-{name}.tsv"])
+    for name, (_, method) in _GRID_FAULTS.items():
+        runs.append(["solve", "--df", f"in/{name}.tsv", "--method", method, "--out", f"out/H-{name}.tsv"])
     runs.append(["selftest", "--verbose"])
     return runs
 
