@@ -10,7 +10,6 @@ together.
 
 from .claims import (
     ClaimRecords,
-    CleaningConfig,
     DurationHistogram,
     IngestReport,
     OccurrenceTable,
@@ -23,7 +22,7 @@ from .claims import (
 )
 from .convolve import density_convolve, increments_from_df, nfold_convolution, stieltjes_convolve
 from .grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv
-from .simulate import RenewalEstimate, SimConfig, estimate_renewal_function, sample_path
+from .simulate import RenewalEstimate, estimate_renewal_function, sample_path
 from .solver import (
     CountingPmf,
     SeriesResult,
@@ -41,14 +40,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClaimRecords",
-    "CleaningConfig",
     "CountingPmf",
     "DurationHistogram",
     "IngestReport",
     "OccurrenceTable",
     "RenewalEstimate",
     "SeriesResult",
-    "SimConfig",
     "SolverMethod",
     "TimeGrid",
     "TwoTimeMatrix",

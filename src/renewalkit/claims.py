@@ -51,7 +51,6 @@ from .grids import TimeGrid, TwoTimeMatrix
 __all__ = [
     "BASE_AGE",
     "ClaimRecords",
-    "CleaningConfig",
     "DurationHistogram",
     "IngestReport",
     "MAX_AGE",
@@ -95,25 +94,6 @@ _CLAIM_BLOCK = 1 << 13
 
 #: the physical line numbers, ids and ages of a block of records
 _Block = tuple[Sequence[int], list[str], list[str]]
-
-
-@dataclass(frozen=True)
-class CleaningConfig:
-    """Knobs for the record cleaner.
-
-    ``zero_duration`` decides what to do with a claim dated at the same
-    integer age as its renewal: "bucket1" keeps it and books it at duration
-    one year, "discard" drops it.
-    """
-
-    impute_entry_age: int = 24
-    zero_duration: str = "bucket1"
-
-    def __post_init__(self) -> None:
-        if not BASE_AGE <= self.impute_entry_age <= MAX_AGE:
-            raise ValueError(f"impute_entry_age must be in [{BASE_AGE}, {MAX_AGE}]")
-        if self.zero_duration not in ("bucket1", "discard"):
-            raise ValueError("zero_duration must be 'bucket1' or 'discard'")
 
 
 def _check_cap_age(cap_age: int) -> None:
@@ -183,18 +163,22 @@ class IngestReport:
 def ingest(
     policies_file: str | Path,
     claims_file: str | Path,
-    cleaning: CleaningConfig = CleaningConfig(),
+    *,
+    impute_entry_age: int = 24,
+    zero_duration: str = "bucket1",
 ) -> tuple[ClaimRecords, IngestReport]:
     """Read, validate and clean the two CSVs.
 
-    Cleaning rules: a missing entry age is imputed to the configured
-    default; an entry age below 18 rejects the whole policy (counted, not
-    fatal) and discards its claims; claims are sorted within each policy,
-    claims dated before the entry age are discarded, and a claim at the
-    same age as its renewal (the entry or the previous claim) follows
-    ``zero_duration``.  An age is an optional sign and ASCII digits.  Ages
-    above ``MAX_AGE``, malformed rows and ages, and claims pointing at
-    unknown policies raise with the file and line number.
+    Cleaning rules: a missing entry age is imputed to ``impute_entry_age``;
+    an entry age below 18 rejects the whole policy (counted, not fatal) and
+    discards its claims; claims are sorted within each policy, claims dated
+    before the entry age are discarded, and a claim at the same age as its
+    renewal (the entry or the previous claim) follows ``zero_duration``:
+    "bucket1" keeps it and books it at duration one year, "discard" drops
+    it.  Both settings are checked before either file is opened.  An age is
+    an optional sign and ASCII digits.  Ages above ``MAX_AGE``, malformed
+    rows and ages, and claims pointing at unknown policies raise with the
+    file and line number.
 
     Each block of records from :func:`_records` is checked and stored at
     once.  The ages of the rows before its first id fault, if any, are read
@@ -206,12 +190,16 @@ def ingest(
     "discard" keeps the first of each run of equal keys, and one ``np.divmod``
     decodes the keys into ``claim_policy``, in place, and ``claim_age``.
     """
+    if not BASE_AGE <= impute_entry_age <= MAX_AGE:
+        raise ValueError(f"impute_entry_age must be in [{BASE_AGE}, {MAX_AGE}]")
+    if zero_duration not in ("bucket1", "discard"):
+        raise ValueError("zero_duration must be 'bucket1' or 'discard'")
     report = IngestReport()
     index: dict[str, int] = {}  # policy id -> column index, -1 if rejected
     ids: list[str] = []
     entries, keys = array("q"), array("q")
 
-    blank = str(cleaning.impute_entry_age)  # read in place of a blank entry age
+    blank = str(impute_entry_age)  # read in place of a blank entry age
     for linenos, pids, texts in _records(policies_file, ("policy_id", "entry_age")):
         imputed = texts.count("")
         texts = [t or blank for t in texts] if imputed else texts
@@ -233,7 +221,7 @@ def ingest(
         entries.frombytes(entry[keep].tobytes())
 
     entry = np.asarray(entries, dtype=np.int64)
-    late = cleaning.zero_duration == "discard"  # a claim at its entry age is dropped too
+    late = zero_duration == "discard"  # a claim at its entry age is dropped too
     for linenos, pids, texts in _records(claims_file, ("policy_id", "claim_age")):
         owner = np.fromiter(map(index.get, pids, repeat(-2)), np.int64, len(pids))  # -2: unknown
         at = int(owner.argmin()) if owner.min(initial=0) < -1 else len(pids)  # the first unknown id

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .claims import (
     TRANSITIONS,
-    CleaningConfig,
     build_duration_histogram,
     build_occurrence_table,
     histogram_to_df,
@@ -33,7 +32,7 @@ from .reports import (
     write_simulation_report,
 )
 from .selftest import run_selftest
-from .simulate import SimConfig, estimate_renewal_function
+from .simulate import estimate_renewal_function
 from .solver import SolverMethod, density_from_differences, solve_discrete, solve_quadrature
 
 __all__ = ["main"]
@@ -44,9 +43,9 @@ def _warn(msg: str) -> None:
 
 
 def cmd_build_df(args: argparse.Namespace) -> int:
-    cleaning = CleaningConfig(impute_entry_age=args.impute_age, zero_duration=args.zero_duration)
     out = Path(args.out_dir)
-    records, report = ingest(args.policies, args.claims, cleaning)
+    records, report = ingest(args.policies, args.claims,
+                             impute_entry_age=args.impute_age, zero_duration=args.zero_duration)
     # both tables check the cap, so a bad one fails before any file is written
     table = build_occurrence_table(records, args.cap_age)
     no_claims = no_claim_table(records, args.cap_age)
@@ -82,7 +81,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "exact":
         H = solve_discrete(F)
     else:
-        H = solve_quadrature(density_from_differences(F), F, SolverMethod(args.method))
+        try:
+            f = density_from_differences(F)
+        except ValueError as exc:  # a step too small to divide by is the file's fault
+            raise ValueError(f"{args.df}: {exc}") from None
+        H = solve_quadrature(f, F, SolverMethod(args.method))
     write_matrix_tsv(H, args.out)
     write_age_mean_report(H, report_path)
     return 0
@@ -90,8 +93,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     F = read_matrix_tsv(args.df)
-    cfg = SimConfig(n_paths=args.paths, seed=args.seed, start_idx=args.start, horizon_idx=args.horizon)
-    estimate = estimate_renewal_function(F, cfg)
+    estimate = estimate_renewal_function(F, args.start, args.horizon, n_paths=args.paths, seed=args.seed)
     write_simulation_report(estimate, F, args.out)
     return 0
 

@@ -139,11 +139,11 @@ def nfold_convolution(F: TwoTimeMatrix, n: int) -> TwoTimeMatrix:
 
     F^(1) = F and F^(n) = F^(n-1) * F; this is the distribution of the n-th
     renewal time, so the sequence is pointwise nonincreasing in n, and it is
-    identically zero from n = n_points on.
+    identically zero from n = n_points on: a higher order is computed as that one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = next(islice(convolution_powers(F, F.values), n - 1, None))
+    out = next(islice(convolution_powers(F, F.values), min(n, F.n_points) - 1, None))
     if n == 1:
         return F
     # clip float dust, in place in the fresh product, so the result still

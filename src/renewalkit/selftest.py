@@ -20,7 +20,7 @@ from . import golden
 from .claims import ClaimRecords, DurationHistogram, histogram_to_df, no_claim_table
 from .convolve import RULE_WEIGHTS
 from .grids import TwoTimeMatrix
-from .simulate import SimConfig, estimate_renewal_function
+from .simulate import estimate_renewal_function
 from .solver import SolverMethod, counting_pmf, solve_discrete, solve_quadrature, solve_series
 from .testing import geometric_law, poisson_law, random_defective_df
 
@@ -111,7 +111,7 @@ def check_oracle_triangle(cases: Iterable[tuple[TwoTimeMatrix, int]], n_paths: i
         S = solve_series(F, tol=1e-12).renewal
         worst_pair = max(worst_pair, np.abs(H.values - S.values).max())
         _require(worst_pair <= 1e-10, f"discrete vs series: {worst_pair}")
-        est = estimate_renewal_function(F, SimConfig(n_paths, seed, 0, F.n_points - 1))
+        est = estimate_renewal_function(F, 0, F.n_points - 1, n_paths=n_paths, seed=seed)
         for j, t in enumerate(est.t_indices()):
             diff = abs(est.means[j] - H.at(0, int(t)))
             if est.std_errs[j] == 0.0:

@@ -23,28 +23,12 @@ import numpy as np
 
 from .grids import TwoTimeMatrix, require_kind
 
-__all__ = ["RNG_NAME", "RenewalEstimate", "SimConfig", "estimate_renewal_function", "sample_path"]
+__all__ = ["RNG_NAME", "RenewalEstimate", "estimate_renewal_function", "sample_path"]
 
 RNG_NAME = "PCG64"
 
 #: uniforms drawn and stepped at once by the estimator; bounds its working memory
 _CHUNK_DRAWS = 1 << 20
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    n_paths: int
-    seed: int
-    start_idx: int
-    horizon_idx: int
-
-    def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.start_idx <= self.horizon_idx:
-            raise ValueError(f"need 0 <= start_idx <= horizon_idx, got ({self.start_idx}, {self.horizon_idx})")
 
 
 @dataclass(frozen=True)
@@ -121,8 +105,13 @@ def _guide_table(M: np.ndarray) -> tuple[int, np.ndarray]:
     return K, G
 
 
-def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstimate:
+def estimate_renewal_function(
+    F: TwoTimeMatrix, start_idx: int, horizon_idx: int, *, n_paths: int, seed: int
+) -> RenewalEstimate:
     """Monte Carlo estimate of H(start, t) for every t up to the horizon.
+
+    It steps n_paths >= 1 paths on PCG64 seeded with seed >= 0, and checks
+    the window and F's kind as ``sample_path`` does.
 
     Path i steps with row i of the seed's uniforms read as an (n_paths, span)
     block; it makes at most span - 1 renewals, so its last draw ends it.  The
@@ -136,10 +125,14 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
     the paths whose bucket leaves more than one candidate, keeping compacted
     arrays of the paths still open.
     """
-    start, horizon, n_paths = cfg.start_idx, cfg.horizon_idx, cfg.n_paths
-    _check_inputs(F, start, horizon)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_inputs(F, start_idx, horizon_idx)
+    start, horizon = start_idx, horizon_idx
     span = horizon - start + 1
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     hits = np.zeros(span, dtype=np.int64)
     sq_hits = np.zeros(span, dtype=np.int64)
     reached = np.array([n_paths] + [0] * span, dtype=np.int64)  # paths with >= k renewals
@@ -190,5 +183,5 @@ def estimate_renewal_function(F: TwoTimeMatrix, cfg: SimConfig) -> RenewalEstima
         std_errs=np.sqrt(var) / np.sqrt(n_paths),
         terminal_pmf=np.trim_zeros(-np.diff(reached, append=0), "b") / n_paths,
         n_paths=n_paths,
-        seed=cfg.seed,
+        seed=seed,
     )

@@ -17,7 +17,6 @@ from renewalkit.claims import (
     MAX_AGE,
     TRANSITIONS,
     ClaimRecords,
-    CleaningConfig,
     DurationHistogram,
     IngestReport,
     build_duration_histogram,
@@ -74,13 +73,13 @@ def test_ingest_discards_claims_before_entry(csv_writer):
 def test_ingest_zero_duration_policy(csv_writer):
     p, c = csv_writer([("A", 24)], [("A", 24), ("A", 24), ("A", 30)])
 
-    records, report = ingest(p, c, CleaningConfig(zero_duration="bucket1"))
+    records, report = ingest(p, c, zero_duration="bucket1")
     assert _triples(records)[0][2] == (24, 24, 30)
     assert (report.claims_retained, report.claims_discarded) == (3, 0)
     hist = build_duration_histogram(records, "merged")
     assert hist.counts[1] == 2 and hist.counts[6] == 1
 
-    records, report = ingest(p, c, CleaningConfig(zero_duration="discard"))
+    records, report = ingest(p, c, zero_duration="discard")
     assert _triples(records)[0][2] == (30,)
     assert (report.claims_retained, report.claims_discarded) == (1, 2)
 
@@ -90,14 +89,14 @@ def test_ingest_keeps_a_negative_claim_age_out_of_other_policies(csv_writer):
     # share a key with A's 150
     p, c = csv_writer([("A", 20), ("B", 20)], [("A", 150), ("B", -1), ("A", 150)])
     for zero_duration, kept in (("bucket1", (150, 150)), ("discard", (150,))):
-        records, report = ingest(p, c, CleaningConfig(zero_duration=zero_duration))
+        records, report = ingest(p, c, zero_duration=zero_duration)
         assert _triples(records) == [("A", 20, kept), ("B", 20, ())]
         assert report.claims_discarded == 3 - len(kept)
 
 
 def test_ingest_imputes_missing_entry_age(csv_writer):
     p, c = csv_writer([("A", ""), ("B", 30)], [])
-    records, report = ingest(p, c, CleaningConfig(impute_entry_age=24))
+    records, report = ingest(p, c, impute_entry_age=24)
     assert records.entry_age[0] == 24
     assert report.imputed_entries == 1
     assert report.policies_read == 2
@@ -418,15 +417,17 @@ def test_occurrence_table_pools_at_the_cap():
     assert table.dropped_beyond_cap == 1
 
 
-def test_cleaning_config_validation():
-    CleaningConfig(impute_entry_age=MAX_AGE)
-    for bad in (
-        {"impute_entry_age": BASE_AGE - 1},
-        {"impute_entry_age": MAX_AGE + 1},
-        {"zero_duration": "keep"},
+def test_cleaning_config_validation(tmp_path, csv_writer):
+    p, c = csv_writer([("A", "")], [])
+    assert ingest(p, c, impute_entry_age=MAX_AGE)[0].entry_age.tolist() == [MAX_AGE]
+    ages = rf"^impute_entry_age must be in \[{BASE_AGE}, {MAX_AGE}\]$"
+    for bad, message in (
+        ({"impute_entry_age": BASE_AGE - 1}, ages),
+        ({"impute_entry_age": MAX_AGE + 1}, ages),
+        ({"zero_duration": "keep"}, r"^zero_duration must be 'bucket1' or 'discard'$"),
     ):
-        with pytest.raises(ValueError):
-            CleaningConfig(**bad)
+        with pytest.raises(ValueError, match=message):  # checked before either file is opened
+            ingest(tmp_path / "absent.csv", tmp_path / "absent.csv", **bad)
     # the cap sizes the occurrence table, so an absurd one must fail by name, not allocate
     for cap_age in (BASE_AGE, MAX_AGE + 1, 1_000_000_000):
         for table in (build_occurrence_table, no_claim_table):
@@ -568,11 +569,11 @@ def test_claim_records_rejects_malformed_columns():
 # -- the per-policy loops the columnar pipeline replaced, kept as the oracle --
 
 
-def _reference_clean(policies, claims, cleaning):
+def _reference_clean(policies, claims, *, impute_entry_age=24, zero_duration="bucket1"):
     """(policy id, entry, retained ages) triples and the discarded-claim count."""
     entry_by_id, rejected, claims_by_id = {}, set(), {}
     for pid, text in policies:
-        entry = cleaning.impute_entry_age if text == "" else int(text)
+        entry = impute_entry_age if text == "" else int(text)
         if entry < BASE_AGE:
             rejected.add(pid)
             continue
@@ -588,7 +589,7 @@ def _reference_clean(policies, claims, cleaning):
     for pid, entry in entry_by_id.items():
         retained, anchor = [], entry
         for c in sorted(claims_by_id[pid]):
-            if c < anchor or (c == anchor and cleaning.zero_duration == "discard"):
+            if c < anchor or (c == anchor and zero_duration == "discard"):
                 discarded += 1
                 continue
             retained.append(c)
@@ -666,10 +667,10 @@ def test_columnar_pipeline_matches_the_per_policy_reference(
     # caps up to MAX_AGE reach the last row and column of the count tables
     policies = [(f"P{i}", e) for i, e in enumerate(entries)]
     claims = [(f"P{i % len(policies)}", age) for i, age in claims] if policies else []
-    cleaning = CleaningConfig(impute_entry_age=impute, zero_duration=zero_duration)
-    records, report = ingest(*csv_writer(policies, claims), cleaning)
+    settings = {"impute_entry_age": impute, "zero_duration": zero_duration}
+    records, report = ingest(*csv_writer(policies, claims), **settings)
 
-    triples, discarded = _reference_clean(policies, claims, cleaning)
+    triples, discarded = _reference_clean(policies, claims, **settings)
     assert report.claims_read == len(claims) == report.claims_retained + report.claims_discarded
     assert report.claims_discarded == discarded
     assert _triples(records) == triples
@@ -690,7 +691,7 @@ _CLAIM_BLOCKS = [1, 2, 3, 7]
 
 def _build_df(policies_file, claims_file, zero_duration):
     """The cleaned columns, the report and every count table, as plain values."""
-    records, report = ingest(policies_file, claims_file, CleaningConfig(zero_duration=zero_duration))
+    records, report = ingest(policies_file, claims_file, zero_duration=zero_duration)
     columns = [col.tolist() for col in (records.entry_age, records.claim_policy, records.claim_age)]
     tables = [build_duration_histogram(records, tr).counts.tolist() for tr in TRANSITIONS]
     for cap_age in (BASE_AGE + 1, 30, 60):
@@ -727,7 +728,7 @@ def test_build_df_walks_the_claims_once(tmp_path, monkeypatch):
     walks, read = [], []
     count, ingest_ = claims._count_claims, cli.ingest
     monkeypatch.setattr(claims, "_count_claims", lambda records: walks.append(records) or count(records))
-    monkeypatch.setattr(cli, "ingest", lambda *args: read.append(ingest_(*args)) or read[-1])
+    monkeypatch.setattr(cli, "ingest", lambda *args, **kw: read.append(ingest_(*args, **kw)) or read[-1])
     (tmp_path / "policies.csv").write_text(MESSY_POLICIES)
     (tmp_path / "claims.csv").write_text(MESSY_CLAIMS)
     argv = ["--policies", "policies.csv", "--claims", "claims.csv", "--out-dir", "out", "--cap-age", "40"]
@@ -762,9 +763,8 @@ def _corpus_with_cuts(block):
 def test_block_cuts_keep_runs_same_age_pairs_and_pre_entry_claims(csv_writer, zero_duration, block):
     policies, rows = _corpus_with_cuts(block)
     files = csv_writer(policies, rows[::-1])  # reversed, so that the sort moves every claim
-    cleaning = CleaningConfig(zero_duration=zero_duration)
-    triples, discarded = _reference_clean(policies, rows, cleaning)
-    records, report = ingest(*files, cleaning)
+    triples, discarded = _reference_clean(policies, rows, zero_duration=zero_duration)
+    records, report = ingest(*files, zero_duration=zero_duration)
     assert _triples(records) == triples and report.claims_discarded == discarded
     assert discarded == (3 if zero_duration == "discard" else 1)  # 35 < 40; the second 35 and 40 at entry
     expected = _build_df(*files, zero_duration)
@@ -920,7 +920,7 @@ def test_ingest_memory_does_not_grow_with_a_file_without_line_feeds(tmp_path):
 # -- the per-row ingest the block parse replaced, kept as its oracle --
 
 
-def _reference_ingest(policies_file, claims_file, cleaning=CleaningConfig()):
+def _reference_ingest(policies_file, claims_file, *, impute_entry_age=24, zero_duration="bucket1"):
     """One ``csv.reader`` row at a time through the same checks.
 
     Beyond the earlier code it carries the two later fixes: a ``csv`` error
@@ -933,7 +933,7 @@ def _reference_ingest(policies_file, claims_file, cleaning=CleaningConfig()):
             raise ValueError(f"{policies_file}:{lineno}: duplicate policy_id {pid!r}")
         report.policies_read += 1
         if age_text == "":
-            entry_age = cleaning.impute_entry_age
+            entry_age = impute_entry_age
             report.imputed_entries += 1
         else:
             entry_age = claims._parse_age(age_text, policies_file, lineno)
@@ -960,7 +960,7 @@ def _reference_ingest(policies_file, claims_file, cleaning=CleaningConfig()):
     order = np.lexsort((c, p))
     p, c = p[order], c[order]
     keep = c >= entry[p]
-    if cleaning.zero_duration == "discard":
+    if zero_duration == "discard":
         keep &= c > entry[p]
         keep[1:] &= (p[1:] != p[:-1]) | (c[1:] != c[:-1])
     report.claims_retained = int(keep.sum())
@@ -1084,9 +1084,9 @@ def _corpora(draw):
     return texts
 
 
-def _outcome(read, policies, claims_file, cleaning):
+def _outcome(read, policies, claims_file, **settings):
     try:
-        records, report = read(policies, claims_file, cleaning)
+        records, report = read(policies, claims_file, **settings)
     except ValueError as exc:
         return str(exc)
     columns = (records.entry_age, records.claim_policy, records.claim_age)
@@ -1105,14 +1105,13 @@ def test_block_parse_matches_the_per_row_reference(tmp_path, corpus, block, limi
     paths = tmp_path / "policies.csv", tmp_path / "claims.csv"
     for path, text in zip(paths, corpus):
         path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
-    cleaning = CleaningConfig(zero_duration=zero_duration)
     default_limit = csv.field_size_limit()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(claims, "_BLOCK", block)
         try:
             csv.field_size_limit(limit or default_limit)
-            outcome = _outcome(ingest, *paths, cleaning)
-            assert outcome == _outcome(_reference_ingest, *paths, cleaning)
+            outcome = _outcome(ingest, *paths, zero_duration=zero_duration)
+            assert outcome == _outcome(_reference_ingest, *paths, zero_duration=zero_duration)
         finally:
             csv.field_size_limit(default_limit)
     # every fault names its file and line
@@ -1160,13 +1159,12 @@ def test_every_read_size_cuts_whole_lines(tmp_path, monkeypatch, end, bom, last_
     split, given = claims._split, []
     monkeypatch.setattr(claims, "_split", lambda text, limit: given.append(split(text, limit)) or given[-1])
     for zero_duration in ("bucket1", "discard"):
-        cleaning = CleaningConfig(zero_duration=zero_duration)
-        expected = _outcome(_reference_ingest, *paths, cleaning)
+        expected = _outcome(_reference_ingest, *paths, zero_duration=zero_duration)
         assert not isinstance(expected, str)
         for block in range(1, max(map(len, texts)) + 1):
             given.clear()
             monkeypatch.setattr(claims, "_BLOCK", block)
-            assert _outcome(ingest, *paths, cleaning) == expected, block
+            assert _outcome(ingest, *paths, zero_duration=zero_duration) == expected, block
             if block >= longest:
                 assert given and None not in given, block
 
@@ -1178,8 +1176,8 @@ def test_a_block_handed_to_csv_splits_lines_where_the_handle_does(tmp_path, monk
     text = "policy_id,claim_age\r\n" + "".join(f"{pid},30\r\n" for pid in odd)
     policies.write_text("policy_id,entry_age\r\n" + "".join(f"{pid},24\r\n" for pid in odd), "utf-8", newline="")
     claims_file.write_text(text, "utf-8", newline="")
-    expected = _outcome(_reference_ingest, policies, claims_file, CleaningConfig())
+    expected = _outcome(_reference_ingest, policies, claims_file)
     assert expected[0] == tuple(odd)
     for block in range(1, len(text) + 1):
         monkeypatch.setattr(claims, "_BLOCK", block)
-        assert _outcome(ingest, policies, claims_file, CleaningConfig()) == expected, block
+        assert _outcome(ingest, policies, claims_file) == expected, block

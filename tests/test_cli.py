@@ -148,8 +148,9 @@ def test_solve_rejects_a_non_finite_grid(tmp_path, capsys, field, bad):
 
 @pytest.mark.parametrize("method", ["exact", *RULE_WEIGHTS])
 def test_solve_on_a_subnormal_step_names_the_step_or_succeeds(tmp_path, capsys, method):
-    # v / h overflows at h = 1e-320; the exact solve never divides by h.  Warnings are errors
-    # here, so a raw numpy overflow warning would surface as the CLI's error line instead
+    # v / h overflows at h = 1e-320; the exact solve never divides by h.  The error names the
+    # file, as a read error does.  Warnings are errors here, so a raw numpy overflow warning
+    # would surface as the CLI's error line instead
     path = tmp_path / "subnormal.tsv"
     path.write_text("# grid origin=0 h=1e-320 n=3 kind=distribution\n0\t0.5\t1\n0\t1\n0\n")
     out = tmp_path / "H.tsv"
@@ -158,7 +159,7 @@ def test_solve_on_a_subnormal_step_names_the_step_or_succeeds(tmp_path, capsys, 
     if method == "exact":
         assert (rc, err) == (0, "")
     else:
-        assert (rc, err) == (1, "error: density v / h overflows at (0, 1): step h = 1e-320 is too small\n")
+        assert (rc, err) == (1, f"error: {path}: density v / h overflows at (0, 1): step h = 1e-320 is too small\n")
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import islice
 
 import numpy as np
@@ -255,6 +256,17 @@ def test_nfold_geometric_against_brute_force_enumeration():
             if i + j <= t
         )
         assert F2.at(0, t) == pytest.approx(brute, abs=1e-13)
+
+
+def test_nfold_past_the_grid_costs_no_more_than_order_n_points():
+    # F^(n) is exactly zero from n = n_points on, so a far order is that power, not 10**9 products
+    F = random_defective_df(np.random.default_rng(29), 40)
+    at_n = nfold_convolution(F, F.n_points)
+    assert not at_n.values.any()
+    t0 = time.perf_counter()
+    far = nfold_convolution(F, 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.array_equal(far.values, at_n.values)
 
 
 def test_nfold_chain_is_monotone_in_order():

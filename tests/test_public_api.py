@@ -14,14 +14,12 @@ import renewalkit
 
 _PUBLIC = [
     "ClaimRecords",
-    "CleaningConfig",
     "CountingPmf",
     "DurationHistogram",
     "IngestReport",
     "OccurrenceTable",
     "RenewalEstimate",
     "SeriesResult",
-    "SimConfig",
     "SolverMethod",
     "TimeGrid",
     "TwoTimeMatrix",

@@ -6,27 +6,26 @@ from scipy import stats
 
 from renewalkit import simulate
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
-from renewalkit.simulate import SimConfig, estimate_renewal_function, sample_path
+from renewalkit.simulate import estimate_renewal_function, sample_path
 from renewalkit.solver import counting_pmf, homogeneous_lift, solve_discrete
 from renewalkit.testing import geometric_law, random_defective_df
 
 
-def _reference_estimate(F, cfg):
+def _reference_estimate(F, start, horizon, *, n_paths, seed):
     """One (paths, span) draw block and count matrix, stepping by the literal rule.
 
     A linear scan finds the first t with M(s, t) >= u, where M is the running
     maximum of each row of F.  Kept as the oracle for the streaming
     estimator; returns (means, std_errs, terminal_pmf).
     """
-    start, horizon = cfg.start_idx, cfg.horizon_idx
     span = horizon - start + 1
     M = np.maximum.accumulate(F.values, axis=1)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     # drawn into a block, as the estimator draws, so that a ``_Draws`` stub can stand in
-    draws = 1.0 - rng.random(out=np.empty((cfg.n_paths, span)))
-    counts = np.zeros((cfg.n_paths, span), dtype=np.int32)
-    cur = np.full(cfg.n_paths, start, dtype=np.int64)
-    active = np.arange(cfg.n_paths)
+    draws = 1.0 - rng.random(out=np.empty((n_paths, span)))
+    counts = np.zeros((n_paths, span), dtype=np.int32)
+    cur = np.full(n_paths, start, dtype=np.int64)
+    active = np.arange(n_paths)
     for step in range(span):
         if len(active) == 0:
             break
@@ -39,11 +38,11 @@ def _reference_estimate(F, cfg):
         active = active[ok]
     totals_per_t = np.cumsum(counts, axis=1)
     means = totals_per_t.mean(axis=0)
-    if cfg.n_paths > 1:
-        std_errs = totals_per_t.std(axis=0, ddof=1) / np.sqrt(cfg.n_paths)
+    if n_paths > 1:
+        std_errs = totals_per_t.std(axis=0, ddof=1) / np.sqrt(n_paths)
     else:
         std_errs = np.zeros(span)
-    return means, std_errs, np.bincount(totals_per_t[:, -1]) / cfg.n_paths
+    return means, std_errs, np.bincount(totals_per_t[:, -1]) / n_paths
 
 
 def _reference_sample_path(F, start_idx, horizon_idx, rng):
@@ -152,8 +151,7 @@ def _assert_steps_like_both_references(F, us, windows, rng, monkeypatch):
         block = 1.0 - rng.choice(us, size=(len(us), span))
         block[:, 0] = 1.0 - us
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(block.ravel()))
-        cfg = SimConfig(len(us), 0, start, horizon)
-        est = _assert_matches_reference(F, cfg)
+        est = _assert_matches_reference(F, start, horizon, n_paths=len(us), seed=0)
         means, pmf = _path_counts(F, start, horizon, block)
         assert np.array_equal(est.means, means)
         assert np.array_equal(est.terminal_pmf, pmf)
@@ -169,7 +167,7 @@ def test_samplers_reject_a_matrix_that_is_not_a_distribution():
     with pytest.raises(ValueError, match="expected a distribution matrix, got kind 'renewal'"):
         sample_path(H, 0, 5, np.random.default_rng(0))
     with pytest.raises(ValueError, match="expected a distribution matrix, got kind 'renewal'"):
-        estimate_renewal_function(H, SimConfig(100, 1, 0, 5))
+        estimate_renewal_function(H, 0, 5, n_paths=100, seed=1)
 
 
 def test_unit_step_paths_are_deterministic():
@@ -267,10 +265,10 @@ def test_estimator_counts_the_paths_that_sample_path_draws_from_its_uniforms():
         F = random_defective_df(rng, n)
         start = int(rng.integers(0, n))
         horizon = int(rng.integers(start, n))
-        cfg = SimConfig(300, int(rng.integers(2**62)), start, horizon)
-        block = np.random.default_rng(cfg.seed).random((cfg.n_paths, horizon - start + 1))
+        seed = int(rng.integers(2**62))
+        block = np.random.default_rng(seed).random((300, horizon - start + 1))
         means, pmf = _path_counts(F, start, horizon, block)
-        est = estimate_renewal_function(F, cfg)
+        est = estimate_renewal_function(F, start, horizon, n_paths=300, seed=seed)
         assert np.array_equal(est.means, means)
         assert np.array_equal(est.terminal_pmf, pmf)
 
@@ -300,19 +298,18 @@ def test_inter_arrival_times_fit_the_geometric_law():
 def test_estimator_is_reproducible_bitwise():
     rng = np.random.default_rng(71)
     F = random_defective_df(rng, 10)
-    cfg = SimConfig(n_paths=5_000, seed=99, start_idx=0, horizon_idx=9)
-    a = estimate_renewal_function(F, cfg)
-    b = estimate_renewal_function(F, cfg)
+    a = estimate_renewal_function(F, 0, 9, n_paths=5_000, seed=99)
+    b = estimate_renewal_function(F, 0, 9, n_paths=5_000, seed=99)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.std_errs, b.std_errs)
     assert np.array_equal(a.terminal_pmf, b.terminal_pmf)
-    c = estimate_renewal_function(F, SimConfig(5_000, 100, 0, 9))
+    c = estimate_renewal_function(F, 0, 9, n_paths=5_000, seed=100)
     assert not np.array_equal(a.means, c.means)
 
 
 def test_estimator_on_deterministic_unit_steps_has_zero_variance():
     F = _unit_step(8)
-    est = estimate_renewal_function(F, SimConfig(1_000, 5, 0, 7))
+    est = estimate_renewal_function(F, 0, 7, n_paths=1_000, seed=5)
     assert est.means.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
     assert not est.std_errs.any()
     assert est.terminal_pmf.tolist() == [0, 0, 0, 0, 0, 0, 0, 1.0]
@@ -320,7 +317,7 @@ def test_estimator_on_deterministic_unit_steps_has_zero_variance():
 
 def test_estimator_matches_binomial_mean():
     p, T = 0.25, 40
-    est = estimate_renewal_function(geometric_law(p, T), SimConfig(100_000, 123, 0, T))
+    est = estimate_renewal_function(geometric_law(p, T), 0, T, n_paths=100_000, seed=123)
     j = T  # t = 40, true mean p t = 10
     assert abs(est.means[j] - 10.0) <= 3.0 * est.std_errs[j]
 
@@ -330,7 +327,7 @@ def test_estimator_matches_discrete_solver_everywhere():
     for _ in range(3):
         F = random_defective_df(rng, 16)
         H = solve_discrete(F)
-        est = estimate_renewal_function(F, SimConfig(50_000, int(rng.integers(2**62)), 0, 15))
+        est = estimate_renewal_function(F, 0, 15, n_paths=50_000, seed=int(rng.integers(2**62)))
         for j, t in enumerate(est.t_indices()):
             diff = abs(est.means[j] - H.at(0, int(t)))
             if est.std_errs[j] == 0.0:
@@ -343,7 +340,7 @@ def test_terminal_pmf_matches_counting_pmf():
     rng = np.random.default_rng(79)
     F = random_defective_df(rng, 13)
     n_paths = 100_000
-    est = estimate_renewal_function(F, SimConfig(n_paths, 6, 0, 12))
+    est = estimate_renewal_function(F, 0, 12, n_paths=n_paths, seed=6)
     pmf = counting_pmf(F, 0, 12, tol=1e-12)
     width = max(len(est.terminal_pmf), len(pmf.probs))
     for k in range(width):
@@ -357,24 +354,47 @@ def test_terminal_pmf_matches_counting_pmf():
 
 
 def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(0, 1, 0, 5)
-    with pytest.raises(ValueError):
-        SimConfig(10, 1, 6, 5)
-    with pytest.raises(ValueError):
-        SimConfig(10, 1, -1, 5)
+    F = _unit_step(6)
+    with pytest.raises(ValueError, match=r"^n_paths must be >= 1, got 0$"):
+        estimate_renewal_function(F, 0, 5, n_paths=0, seed=1)
+    with pytest.raises(ValueError, match=r"^window \(6, 5\) outside the grid: need 0 <= start <= horizon < 6$"):
+        estimate_renewal_function(F, 6, 5, n_paths=10, seed=1)
+    with pytest.raises(ValueError, match=r"^window \(-1, 5\) outside the grid: need 0 <= start <= horizon < 6$"):
+        estimate_renewal_function(F, -1, 5, n_paths=10, seed=1)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        SimConfig(10, -1, 0, 5)
+        estimate_renewal_function(F, 0, 5, n_paths=10, seed=-1)
     F = _unit_step(4)
     with pytest.raises(ValueError, match="outside the grid"):
-        estimate_renewal_function(F, SimConfig(10, 1, 0, 7))
+        estimate_renewal_function(F, 0, 7, n_paths=10, seed=1)
     with pytest.raises(ValueError):
         sample_path(F, 0, 9, np.random.default_rng(0))
 
 
-def _assert_matches_reference(F, cfg):
-    means, std_errs, pmf = _reference_estimate(F, cfg)
-    est = estimate_renewal_function(F, cfg)
+@pytest.mark.parametrize(
+    "kind, start, horizon, message",
+    [
+        ("distribution", 3, 2, "window (3, 2) outside the grid: need 0 <= start <= horizon < 8"),
+        ("distribution", -1, 5, "window (-1, 5) outside the grid: need 0 <= start <= horizon < 8"),
+        ("distribution", 0, 8, "window (0, 8) outside the grid: need 0 <= start <= horizon < 8"),
+        ("distribution", 2, 9, "window (2, 9) outside the grid: need 0 <= start <= horizon < 8"),
+        ("renewal", 3, 2, "expected a distribution matrix, got kind 'renewal'"),
+    ],
+    ids=["start-past-horizon", "negative-start", "horizon-at-n", "horizon-past-n", "renewal-bad-window"],
+)
+def test_both_samplers_check_the_window_and_kind_alike(kind, start, horizon, message):
+    # one check for both: the same fault gives the same message, and the kind is checked first
+    F = geometric_law(0.5, 7)  # n = 8
+    M = F if kind == "distribution" else solve_discrete(F)
+    with pytest.raises(ValueError) as by_path:
+        sample_path(M, start, horizon, np.random.default_rng(0))
+    with pytest.raises(ValueError) as by_estimate:
+        estimate_renewal_function(M, start, horizon, n_paths=10, seed=1)
+    assert [str(by_path.value), str(by_estimate.value)] == [message, message]
+
+
+def _assert_matches_reference(F, start, horizon, **settings):
+    means, std_errs, pmf = _reference_estimate(F, start, horizon, **settings)
+    est = estimate_renewal_function(F, start, horizon, **settings)
     assert np.array_equal(est.means, means)
     assert np.array_equal(est.terminal_pmf, pmf)
     # the reference's two-pass float variance differs from the exact one in the last digits
@@ -391,7 +411,7 @@ def test_estimator_matches_the_full_matrix_reference():
         start = int(rng.integers(1, n))
         horizon = int(rng.integers(start, n))
         paths = int(rng.choice([1, 2, 3, 500, 4_000]))
-        _assert_matches_reference(F, SimConfig(paths, int(rng.integers(2**62)), start, horizon))
+        _assert_matches_reference(F, start, horizon, n_paths=paths, seed=int(rng.integers(2**62)))
 
 
 def test_estimator_matches_the_reference_on_zero_variance_cells():
@@ -406,21 +426,21 @@ def test_estimator_matches_the_reference_on_zero_variance_cells():
             values[s, s + 1 :] = np.linspace(0.2, 0.6, n - 1 - s)
     F = TwoTimeMatrix(TimeGrid(0.0, 1.0, n), values, "distribution")
     for start in (0, 3):
-        _assert_matches_reference(F, SimConfig(3_000, 17, start, n - 1))
-    est = estimate_renewal_function(F, SimConfig(3_000, 17, 0, n - 1))
+        _assert_matches_reference(F, start, n - 1, n_paths=3_000, seed=17)
+    est = estimate_renewal_function(F, 0, n - 1, n_paths=3_000, seed=17)
     assert not est.std_errs[:7].any() and est.std_errs[7:].all()
 
 
 def test_estimator_is_invariant_to_the_chunk_size(monkeypatch):
     rng = np.random.default_rng(89)
     F = random_defective_df(rng, 30)
-    cfg = SimConfig(2_000, 5, 2, 27)
-    span = cfg.horizon_idx - cfg.start_idx + 1
-    default = _outputs(estimate_renewal_function(F, cfg))
+    start, horizon = 2, 27
+    span = horizon - start + 1
+    default = _outputs(estimate_renewal_function(F, start, horizon, n_paths=2_000, seed=5))
     default_chunk = simulate._CHUNK_DRAWS
     for paths_per_chunk in (1, 7):
         monkeypatch.setattr(simulate, "_CHUNK_DRAWS", paths_per_chunk * span)
-        for got, want in zip(_outputs(estimate_renewal_function(F, cfg)), default):
+        for got, want in zip(_outputs(estimate_renewal_function(F, start, horizon, n_paths=2_000, seed=5)), default):
             assert np.array_equal(got, want)
     # every row dips within the slack, as row 0 does at t = 4, and stub draws land in the
     # dip's window (0.5 - 5e-10, 0.5]: there the literal step from age s is to t = s + 3
@@ -433,7 +453,7 @@ def test_estimator_is_invariant_to_the_chunk_size(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(block.ravel()))
     for chunk_draws in (8, 16, default_chunk):  # 1 and 2 paths per chunk, and all 6 at once
         monkeypatch.setattr(simulate, "_CHUNK_DRAWS", chunk_draws)
-        est = estimate_renewal_function(F, SimConfig(6, 0, 0, 7))
+        est = estimate_renewal_function(F, 0, 7, n_paths=6, seed=0)
         assert np.array_equal(est.means, means)
         assert np.array_equal(est.terminal_pmf, pmf)
 
@@ -446,7 +466,7 @@ def test_estimator_memory_is_bounded_by_the_chunk(monkeypatch):
     def peak(n_paths):
         tracemalloc.start()
         try:
-            estimate_renewal_function(F, SimConfig(n_paths, 3, 0, 29))
+            estimate_renewal_function(F, 0, 29, n_paths=n_paths, seed=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,7 +561,7 @@ def test_estimator_memory_is_bounded_by_the_chunk_and_the_law(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 300 * 64)
     tracemalloc.start()
     try:
-        estimate_renewal_function(F, SimConfig(2_000, 3, 0, 299))
+        estimate_renewal_function(F, 0, 299, n_paths=2_000, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

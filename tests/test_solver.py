@@ -18,7 +18,7 @@ from renewalkit.solver import (
     solve_quadrature,
     solve_series,
 )
-from renewalkit.simulate import SimConfig, estimate_renewal_function
+from renewalkit.simulate import estimate_renewal_function
 from renewalkit.testing import bernoulli_law, geometric_law, nhpp_law, poisson_law, random_defective_df
 
 GRID3 = TimeGrid(0.0, 1.0, 3)
@@ -302,7 +302,7 @@ def test_bernoulli_law_is_solved_exactly_by_every_route():
         got = counting_pmf(F, s, t, tol=1e-15)
         assert np.abs(got.probs - pmf[: len(got.probs)]).max() <= 1e-12
         assert pmf[len(got.probs) :].sum() <= got.truncation_mass + 1e-12
-    est = estimate_renewal_function(F, SimConfig(50_000, 424243, 0, n - 1))
+    est = estimate_renewal_function(F, 0, n - 1, n_paths=50_000, seed=424243)
     want = H[0, est.t_indices()]
     random = est.std_errs > 0
     assert np.all(est.means[~random] == want[~random])  # t = 0: no path renews

@@ -201,6 +201,8 @@ def invocations() -> list[list[str]]:
     for name in (*_FAULTS, *_SIGNED_FAULTS):
         runs.append(["build-df", "--policies", f"in/{name}/policies.csv", "--claims", f"in/{name}/claims.csv",
                      "--out-dir", f"out/{name}"])
+    runs.append(["build-df", "--policies", "in/c15/policies.csv", "--claims", "in/c15/claims.csv",
+                 "--out-dir", "out/impute-17", "--impute-age", "17"])  # an entry age under 18
     for name, df in (("law501", "in/law501.tsv"), ("c3k", "out/c3k-bucket1-60/waiting_df_by_age.tsv"),
                      ("messy", "out/messy-discard-40/waiting_df_by_age.tsv"), ("dip", "in/dip.tsv")):
         for method in METHODS:
@@ -216,6 +218,10 @@ def invocations() -> list[list[str]]:
         ("in/law256.tsv", "20000", "19", "0", "255"),  # n = 256, the least n whose guide table is uint16
         ("in/dip.tsv", "500", "13", "0", "5"),
         ("out/messy-bucket1-40/waiting_df_by_age.tsv", "300", "11", "30", "10"),  # a bad window
+        ("in/dip.tsv", "0", "21", "0", "5"),  # no paths
+        ("in/dip.tsv", "500", "-1", "0", "5"),  # a negative seed
+        ("out/H-dip-exact.tsv", "500", "23", "4", "2"),  # a bad window on a renewal matrix
+        ("in/dip.tsv", "500", "29", "0", "6"),  # a horizon at n
     ):
         runs.append(["simulate", "--df", df, "--paths", paths, "--seed", seed, "--start", start,
                      "--horizon", horizon, "--out", f"out/sim-{seed}.tsv"])
