@@ -22,7 +22,7 @@ from .claims import (
     occurrence_to_nh_df,
 )
 from .convolve import RULE_WEIGHTS
-from .grids import read_matrix_tsv, write_matrix_tsv
+from .grids import TwoTimeMatrix, read_matrix_tsv, require_kind, write_matrix_tsv
 from .reports import (
     write_age_mean_report,
     write_duration_counts_report,
@@ -73,26 +73,35 @@ def cmd_build_df(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_df(path: str) -> TwoTimeMatrix:
+    """Read a ``--df`` matrix; a kind other than ``distribution`` is the file's fault and names it."""
+    F = read_matrix_tsv(path)
+    try:
+        require_kind(F, "distribution")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return F
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     report_path = args.report if args.report else str(args.out) + ".report.tsv"
     if Path(report_path).resolve() == Path(args.out).resolve():
         raise ValueError(f"--report must differ from --out, both name {args.out}")
-    F = read_matrix_tsv(args.df)
-    if args.method == "exact":
-        H = solve_discrete(F)
-    else:
-        try:
-            f = density_from_differences(F)
-        except ValueError as exc:  # a step too small to divide by is the file's fault
-            raise ValueError(f"{args.df}: {exc}") from None
-        H = solve_quadrature(f, F, SolverMethod(args.method))
+    F = _read_df(args.df)
+    try:  # with the kind checked, what the solve rejects is the file's, such as a step too small
+        if args.method == "exact":
+            H = solve_discrete(F)
+        else:
+            H = solve_quadrature(density_from_differences(F), F, SolverMethod(args.method))
+    except ValueError as exc:
+        raise ValueError(f"{args.df}: {exc}") from None
     write_matrix_tsv(H, args.out)
     write_age_mean_report(H, report_path)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    F = read_matrix_tsv(args.df)
+    F = _read_df(args.df)
     estimate = estimate_renewal_function(F, args.start, args.horizon, n_paths=args.paths, seed=args.seed)
     write_simulation_report(estimate, F, args.out)
     return 0

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import re
-import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +50,9 @@ class TimeGrid:
     """Uniform grid: point i lives at ``origin + i * step_h``.
 
     ``origin`` and ``step_h`` are stored as Python floats, so every writer
-    formats them by the float rule whatever numeric type they came in as.
+    formats them by the float rule whatever numeric type they came in as;
+    ``n_points`` is stored as a Python int, and a value that is no integer
+    (``3.0`` included) is rejected.
     """
 
     origin: float
@@ -60,6 +62,10 @@ class TimeGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", float(self.origin))
         object.__setattr__(self, "step_h", float(self.step_h))
+        try:
+            object.__setattr__(self, "n_points", operator.index(self.n_points))
+        except TypeError:
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
         if not math.isfinite(self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
         if not 0 < self.step_h < math.inf:
@@ -215,10 +221,13 @@ def write_matrix_tsv(matrix: TwoTimeMatrix, path: str | Path) -> None:
     Numbers carry 17 significant digits so that read/write round-trips are
     bit-identical.  The file is written atomically (temp file + rename).
     """
-    g = matrix.grid
-    origin, h = format_cell(g.origin), format_cell(g.step_h)
-    head = [f"# grid origin={origin} h={h} n={g.n_points} kind={matrix.kind}"]
-    write_table(path, head, ([matrix.formatted.row(i)] for i in range(g.n_points)))
+    head = [f"# grid {_grid_text(matrix.grid)} kind={matrix.kind}"]
+    write_table(path, head, ([matrix.formatted.row(i)] for i in range(matrix.n_points)))
+
+
+def _grid_text(grid: TimeGrid) -> str:
+    """The grid as every header spells it: ``origin=… h=… n=…``, the numbers by the float rule."""
+    return f"origin={format_cell(grid.origin)} h={format_cell(grid.step_h)} n={grid.n_points}"
 
 
 def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
@@ -275,23 +284,21 @@ def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable])
     A float (``np.float64`` included) is written at 17 significant digits and
     any other value with ``str``, so an int of 10**17 stays exact and an
     already formatted string passes unchanged.  Lines are streamed into a
-    temp file beside ``path`` that replaces it only once every row is
-    written, with the permissions ``open`` would give.
+    new temp file beside ``path`` that replaces it only once every row is
+    written.  The temp file is created with mode 0666 and ``O_EXCL``: the
+    kernel applies the umask as ``open`` does, the writer never reads or
+    sets it, and a name collision fails rather than overwrite a file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             for line in head:
                 fh.write(line + "\n")
             for row in rows:
                 fh.write("\t".join(map(format_cell, row)) + "\n")
-        # mkstemp creates the file as 0600 whatever the umask; give it the mode open() would.
-        # The umask can only be read by setting it, so set the strictest one for that instant.
-        mask = os.umask(0o077)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -299,9 +306,13 @@ def write_table(path: str | Path, head: Iterable[str], rows: Iterable[Iterable])
         raise
 
 
+#: the one float rule of every output: 17 significant digits, round-tripping float64
+_FLOAT_RULE = "%.17g"
+
+
 def format_cell(x) -> str:
-    """The one float rule of every output: 17 significant digits, round-tripping float64."""
-    return "%.17g" % x if isinstance(x, float) else str(x)
+    """A float by the float rule, any other value by ``str``."""
+    return _FLOAT_RULE % x if isinstance(x, float) else str(x)
 
 
 class FormattedTriangle:
@@ -321,8 +332,9 @@ class FormattedTriangle:
         n = matrix.n_points
         self._start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
         self._cells = np.empty(self._start[-1], dtype=f"S{self._WIDTH}")
+        rule = _FLOAT_RULE.encode()
         for i, row in enumerate(matrix.values):
-            self._cells[self._start[i] : self._start[i + 1]] = [b"%.17g" % x for x in row[i:].tolist()]
+            self._cells[self._start[i] : self._start[i + 1]] = [rule % x for x in row[i:].tolist()]
 
     def row(self, i: int) -> str:
         """a(i,i)..a(i,n-1), tab-joined."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .claims import DurationHistogram, IngestReport, NoClaimRow
-from .grids import TwoTimeMatrix, format_cell, write_table
+from .grids import TwoTimeMatrix, _grid_text, write_table
 from .simulate import RNG_NAME, RenewalEstimate
 
 __all__ = [
@@ -88,8 +88,7 @@ def write_simulation_report(
     """
     g = F.grid
     head = [
-        f"# sim grid origin={format_cell(g.origin)} h={format_cell(g.step_h)} n={g.n_points}"
-        f" start={estimate.start_idx} horizon={estimate.horizon_idx}"
+        f"# sim grid {_grid_text(g)} start={estimate.start_idx} horizon={estimate.horizon_idx}"
         f" seed={estimate.seed} n_paths={estimate.n_paths} rng={RNG_NAME}",
         "t_idx\ttime\testimate\tstd_err",
     ]

@@ -158,12 +158,20 @@ def solve_quadrature(
     Rows of H are filled from the last up.  Rules whose stencil includes
     tau = u produce an implicit term; the equation is then solved
     algebraically for H(u, k) by dividing by 1 - w0 f(u, u).  A near-zero
-    divisor aborts, before any solving, with the offending location.
+    divisor aborts, before any solving, with the offending location.  On a
+    step so small that the density's products overflow in the sweep, the
+    solve fails with the first non-finite cell and the step named.
     """
     require_kind(f, "density", "generic")
     require_kind(F, "distribution")
     require_same_grid(f, F)
-    return TwoTimeMatrix(f.grid, _row_sweep(f.values, F.values, f.grid.step_h, method.tag), "renewal")
+    h = f.grid.step_h
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = _row_sweep(f.values, F.values, h, method.tag)
+    if not np.isfinite(H).all():
+        s, t = np.argwhere(~np.isfinite(H))[0]
+        raise ValueError(f"quadrature sweep overflows at ({s}, {t}): step h = {h} is too small")
+    return TwoTimeMatrix(f.grid, H, "renewal")
 
 
 def counting_pmf(

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from renewalkit.solver import (
     solve_quadrature,
     solve_series,
 )
-from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES, random_defective_df
+from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES, geometric_law, random_defective_df
 from test_reports import _cells, _oracle_age_mean, _oracle_matrix
 
 
@@ -161,6 +162,39 @@ def test_solve_on_a_subnormal_step_names_the_step_or_succeeds(tmp_path, capsys, 
     else:
         assert (rc, err) == (1, f"error: {path}: density v / h overflows at (0, 1): step h = 1e-320 is too small\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", *RULE_WEIGHTS])
+def test_solve_on_a_tiny_normal_step_names_the_step_or_succeeds(tmp_path, capsys, method):
+    # at h = 3e-308, v / h is finite but its products with H overflow in the quadrature sweep; the
+    # exact solve never divides by h.  Warnings are errors here, so a raw numpy warning would
+    # surface as the CLI's error line instead of the one line naming the file and the step
+    path = tmp_path / "tiny.tsv"
+    write_matrix_tsv(TwoTimeMatrix(TimeGrid(0.0, 3e-308, 31), geometric_law(0.9, 30).values, "distribution"), path)
+    out = tmp_path / "H.tsv"
+    rc = main(["solve", "--df", str(path), "--method", method, "--out", str(out)])
+    err = capsys.readouterr().err
+    if method == "exact":
+        assert (rc, err) == (0, "")
+    else:
+        assert rc == 1
+        assert re.fullmatch(re.escape(f"error: {path}: quadrature sweep overflows at (")
+                            + r"0, [0-9]+\): step h = 3e-308 is too small\n", err), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-exact", "solve-trapezoid", "simulate"])
+def test_a_matrix_that_is_not_a_distribution_is_named_as_the_files_fault(tmp_path, capsys, command):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    h_path, out = tmp_path / "H.tsv", tmp_path / "out.tsv"
+    assert main(["solve", "--df", str(df_path), "--out", str(h_path)]) == 0
+    if command == "simulate":
+        argv = ["simulate", "--df", str(h_path), "--paths", "10", "--seed", "1", "--start", "0", "--horizon", "5"]
+    else:
+        argv = ["solve", "--df", str(h_path), "--method", command.removeprefix("solve-")]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {h_path}: expected a distribution matrix, got kind 'renewal'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "report"])

@@ -30,6 +30,12 @@ def test_grid_rejects_bad_parameters():
         TimeGrid(1e308, 1e308, 3)
     with pytest.raises(ValueError, match="last grid time 0.0 [+] 9{400} [*] 1e-300 is not finite"):
         TimeGrid(0.0, 1e-300, 10**400)
+    # the size is stored as an int, as the origin and the step are stored as floats; 3.0 is no size
+    for size in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, got {size!r}")):
+            TimeGrid(0.0, 1.0, size)
+    grid = TimeGrid(0.0, 1.0, np.int64(3))
+    assert type(grid.n_points) is int and grid == TimeGrid(0.0, 1.0, 3)
 
 
 def test_grid_rejects_off_grid_times():
@@ -307,12 +313,39 @@ def test_trailing_content_is_read_in_bounded_memory(tmp_path):
 
 def test_written_files_follow_the_umask(tmp_path):
     matrix = TwoTimeMatrix(TimeGrid(0.0, 1.0, 2), np.array([[0, 0.5], [0, 0]]), "distribution")
-    old = os.umask(0o022)
-    try:
-        write_matrix_tsv(matrix, tmp_path / "m.tsv")
-    finally:
-        os.umask(old)
-    assert (tmp_path / "m.tsv").stat().st_mode & 0o777 == 0o644
+    for mask in (0o002, 0o022, 0o027, 0o077):  # 0o002 tells a mode of 0666 from 0644
+        written, plain = tmp_path / f"m{mask:o}.tsv", tmp_path / f"plain{mask:o}.txt"
+        old = os.umask(mask)
+        try:
+            write_matrix_tsv(matrix, written)
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = written.stat().st_mode & 0o777
+        assert mode == plain.stat().st_mode & 0o777 == 0o666 & ~mask, oct(mask)
+
+
+def test_write_table_neither_reads_nor_sets_the_umask(tmp_path, monkeypatch):
+    # setting the umask to read it would change it for every thread of the process for that instant
+    def refuse(*args):
+        raise AssertionError("write_table must leave the umask and the mode to the kernel")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    monkeypatch.setattr(os, "chmod", refuse)
+    write_table(tmp_path / "t.tsv", ["# head"], [[1, 0.5]])
+    assert (tmp_path / "t.tsv").read_bytes() == b"# head\n1\t0.5\n"
+
+
+def test_a_temp_name_collision_fails_and_overwrites_nothing(tmp_path, monkeypatch):
+    # the temp file is created with O_EXCL: a file already holding its name is never replaced
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f"t.tsv.{bytes(8).hex()}.tmp"
+    taken.write_text("someone else's\n")
+    with pytest.raises(FileExistsError):
+        write_table(tmp_path / "t.tsv", ["# head"], [[1, 0.5]])
+    assert taken.read_text() == "someone else's\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name]
 
 
 def test_a_failing_row_leaves_the_target_untouched(tmp_path):

@@ -112,8 +112,8 @@ def write_inputs(where: Path) -> None:
     import inputs
 
     from renewalkit.claims import _BLOCK
-    from renewalkit.grids import write_matrix_tsv
-    from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES
+    from renewalkit.grids import TimeGrid, TwoTimeMatrix, write_matrix_tsv
+    from renewalkit.testing import MESSY_CLAIMS, MESSY_POLICIES, geometric_law
 
     truth = inputs.generating_df(43, 1.0)
     inputs.write_synthetic_corpus(truth, 10_000, 9, where / "c10k")  # ~78k claims: cuts between claim blocks
@@ -168,6 +168,9 @@ def write_inputs(where: Path) -> None:
     write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
     write_matrix_tsv(inputs.generating_df(256, 0.2), where / "law256.tsv")
     (where / "dip.tsv").write_text(_DIPPED_LAW)
+    # a normal step so small that v / h is finite but the quadrature sweep's products overflow
+    tiny = TwoTimeMatrix(TimeGrid(0.0, 3e-308, 31), geometric_law(0.9, 30).values, "distribution")
+    write_matrix_tsv(tiny, where / "tiny-step.tsv")
     for name, body in _MATRIX_FAULTS.items():
         text = "# grid origin=0 h=1 n=2 kind=distribution\n" + body
         (where / f"{name}.tsv").write_text(text, encoding="utf-8", errors="surrogateescape")
@@ -209,6 +212,10 @@ def invocations() -> list[list[str]]:
             runs.append(["solve", "--df", df, "--method", method, "--out", f"out/H-{name}-{method}.tsv"])
         runs.append(["report", "--matrix", f"out/H-{name}-exact.tsv", "--out", f"out/report-{name}.tsv"])
         runs.append(["report", "--matrix", df, "--out", f"out/report-{name}-input.tsv"])
+    for method in METHODS:
+        runs.append(["solve", "--df", "in/tiny-step.tsv", "--method", method, "--out", f"out/H-tiny-{method}.tsv"])
+    for method in ("exact", "trapezoid"):  # a renewal matrix is no distribution, so both fail
+        runs.append(["solve", "--df", "out/H-dip-exact.tsv", "--method", method, "--out", f"out/H-renewal-{method}.tsv"])
     # a homogeneous table is not a matrix TSV, so this one fails
     runs.append(["solve", "--df", "out/c3k-bucket1-60/waiting_df_merged.tsv", "--out", "out/H-merged.tsv"])
     for df, paths, seed, start, horizon in (
