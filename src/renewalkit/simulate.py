@@ -10,8 +10,9 @@ once t passes the horizon, or the grid when u exceeds a defective row.
 ``estimate_renewal_function`` steps all live paths at once: a guide table
 (Chen and Asau's indexed search) puts each draw in one bucket of its row, and
 a bisection runs only where that bucket holds a cell of M.  The rows of M are
-sorted, so both take the same step.  Its memory is one chunk of draws plus a
-table no larger than F.
+sorted, so both take the same step.  Its memory is the draws its paths read,
+one chunk of them at most, plus one buffer of draws and a table no larger
+than F.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ RNG_NAME = "PCG64"
 
 #: uniforms drawn and stepped at once by the estimator; bounds its working memory
 _CHUNK_DRAWS = 1 << 20
+#: uniforms drawn at once into the buffer that a chunk's draws pass through
+_SUB_DRAWS = 1 << 16
+#: leading columns of a chunk's draws kept at first, before any path shows it needs more
+_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,29 @@ def _guide_table(M: np.ndarray) -> tuple[int, np.ndarray]:
     return K, G
 
 
+def _draw_columns(
+    rng: np.random.Generator, size: int, span: int, lo: int, hi: int, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """Columns [lo, hi) of the next (size, span) block of uniforms, for the rows in keep.
+
+    The rows are drawn in stream order through one buffer of about
+    ``_SUB_DRAWS`` uniforms, so the block is never held whole.  keep is
+    increasing and defaults to every row.
+    """
+    store = np.empty((size if keep is None else len(keep), hi - lo))
+    buf = np.empty((min(size, max(1, _SUB_DRAWS // span)), span))
+    at = 0
+    for first in range(0, size, len(buf)):
+        block = rng.random(out=buf[: size - first])
+        if keep is None:
+            store[first : first + len(block)] = block[:, lo:hi]
+        else:
+            end = at + int(np.searchsorted(keep[at:], first + len(block)))
+            store[at:end] = block[keep[at:end] - first, lo:hi]
+            at = end
+    return store
+
+
 def estimate_renewal_function(
     F: TwoTimeMatrix, start_idx: int, horizon_idx: int, *, n_paths: int, seed: int
 ) -> RenewalEstimate:
@@ -116,14 +144,24 @@ def estimate_renewal_function(
     Path i steps with row i of the seed's uniforms read as an (n_paths, span)
     block; it makes at most span - 1 renewals, so its last draw ends it.  The
     block is drawn and stepped in chunks of about ``_CHUNK_DRAWS`` uniforms,
-    each drawn into the same buffer, keeping only integer sums per t:
-    renewals, and the growth 2k - 1 of a path's squared count at its k-th
-    renewal.  So memory is bounded by one chunk and a table no larger than F,
-    a seed fixes the result whatever the chunk size, and the standard errors
-    come from exact sums.  Each step looks every live path's draw up in the
-    guide table (see ``_guide_table``) and bisects, a round at a time, only
-    the paths whose bucket leaves more than one candidate, keeping compacted
-    arrays of the paths still open.
+    keeping only integer sums per t: renewals, and the growth 2k - 1 of a
+    path's squared count at its k-th renewal.  So a seed fixes the result
+    whatever the chunk size, and the standard errors come from exact sums.
+    Each step looks every live path's draw up in the guide table (see
+    ``_guide_table``) and bisects, a round at a time, only the paths whose
+    bucket leaves more than one candidate, keeping compacted arrays of the
+    paths still open.
+
+    Most paths read few of their draws, so a chunk keeps only a window of
+    its leading columns, drawn through a buffer of about ``_SUB_DRAWS``
+    uniforms (see ``_draw_columns``).  If paths outlive the window, the
+    generator is set back to the chunk's start and the chunk drawn again,
+    keeping the columns left of the paths still open.  The window starts at
+    ``_WINDOW`` columns and widens after each chunk to the power of two at or
+    above the longest path's draws; once it would hold more than half the
+    span, chunks are drawn whole into one buffer.  So memory is bounded by
+    the draws the paths read, one chunk of them at most, plus one buffer of
+    ``_SUB_DRAWS`` uniforms and a table no larger than F.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -141,14 +179,29 @@ def estimate_renewal_function(
     K, G = _guide_table(M)
     # flat views, gathered at flat offsets: one index array per gather
     Gf, Mf, width, n = G.ravel(), M.ravel(), K + 2, len(M)
-    # refilled by each chunk, so that no two draw blocks are ever live at once
-    block = np.empty((chunk, span))
+    cols, block = _WINDOW, None
     for first in range(0, n_paths, chunk):
-        draws = rng.random(out=block[: min(chunk, n_paths - first)])
-        rows = np.arange(len(draws))
-        cur = np.full(len(draws), start, dtype=np.intp)
+        size = min(chunk, n_paths - first)
+        if 2 * cols > span:
+            # a window would hold more than half the chunk: draw it whole, refilling one buffer
+            cols = span
+            if block is None:
+                block = np.empty((chunk, span))
+            draws = rng.random(out=block[:size])
+        else:
+            state = rng.bit_generator.state
+            draws = _draw_columns(rng, size, span, 0, cols)
+        lead = 0  # the step whose draws are in column 0 of draws
+        rows = np.arange(size)
+        cur = np.full(size, start, dtype=np.intp)
         for step in range(span):
-            u = 1.0 - draws[:, step][rows]  # uniform on (0, 1]
+            if step == cols:
+                # paths outlive the window: draw the chunk again for the columns left of those still open
+                draws = None
+                rng.bit_generator.state = state
+                draws = _draw_columns(rng, size, span, cols, span, rows)
+                lead, rows = cols, np.arange(len(rows))
+            u = 1.0 - draws[:, step - lead][rows]  # uniform on (0, 1]
             at = cur * width + (u * K).astype(np.intp)
             age, cur, hi = cur, Gf[at].astype(np.intp), Gf[at + 1].astype(np.intp)
             # the step lies in [cur, hi]; bisect, on the paths still open, where that leaves a choice
@@ -171,6 +224,9 @@ def estimate_renewal_function(
             reached[step + 1] += len(rows)
             if not len(rows):
                 break
+        draws = None
+        # the longest path read step + 1 draws
+        cols = min(span, max(cols, 1 << step.bit_length()))
 
     s1 = np.cumsum(hits)
     # sample variance from Python ints, rounded once; a single path gives 0 / 1

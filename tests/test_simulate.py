@@ -66,11 +66,24 @@ class _Draws:
     """Stands in for a generator: ``random()`` returns the given numbers in order.
 
     ``random(out=block)`` fills the block with the next ones, row by row.
+    ``bit_generator.state`` is the count of numbers taken; setting it seeks.
     """
 
     def __init__(self, values):
         self.values = list(values)
         self.taken = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.taken
+
+    @state.setter
+    def state(self, taken):
+        self.taken = taken
 
     def random(self, out=None):
         if out is None:
@@ -566,3 +579,68 @@ def test_estimator_memory_is_bounded_by_the_chunk_and_the_law(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 300 * 8 + F.values.nbytes
+
+
+def test_estimator_matches_the_reference_when_paths_outrun_the_window(monkeypatch):
+    # paths of these laws outlive the first window, so chunks are drawn again and the window
+    # widens; spans 2 w - 1, 2 w and 2 w + 1 lie on both sides of the rule that draws a chunk
+    # whole once the window would hold more than half of it
+    rng = np.random.default_rng(151)
+    laws = [(_unit_step(201), 0), (geometric_law(0.5, 200), 0), (random_defective_df(rng, 120), 9)]
+    redraws = []
+    draw_columns = simulate._draw_columns
+
+    def spy(rng, size, span, lo, hi, keep=None):
+        redraws[-1] += lo > 0
+        return draw_columns(rng, size, span, lo, hi, keep)
+
+    monkeypatch.setattr(simulate, "_draw_columns", spy)
+    for F, start in laws:
+        n = F.n_points
+        # (window, sub-block draws, chunk draws, paths), the draws as (a, b) for a * span + b: 1, 2
+        # and 3, then odd sizes, where sub-blocks of 3 and 4 rows part-fill the last of a chunk
+        for window, (a, b), (c, d), n_paths in (
+            (1, (0, 1), (0, 1), 7),
+            (2, (0, 2), (0, 2), 9),
+            (3, (0, 3), (0, 3), 8),
+            (3, (3, 1), (7, 5), 60),
+            (5, (5, -1), (13, 5), 60),
+        ):
+            for span in (n - start, 2 * window - 1, 2 * window, 2 * window + 1):
+                monkeypatch.setattr(simulate, "_WINDOW", window)
+                monkeypatch.setattr(simulate, "_SUB_DRAWS", a * span + b)
+                monkeypatch.setattr(simulate, "_CHUNK_DRAWS", c * span + d)
+                redraws.append(0)
+                _assert_matches_reference(F, start, start + span - 1, n_paths=n_paths, seed=span)
+                # a chunk is drawn again only while twice the window fits in the span, and the window
+                # at least doubles after it
+                assert 2 ** redraws[-1] * window <= max(span, window)
+    assert max(redraws) >= 2
+
+
+def _traced_peak(run):
+    """run()'s result and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimator_memory_follows_the_draws_its_paths_read():
+    # at n = 201 paths of geometric_law(0.05, 200) make about 10 renewals and read no more than
+    # the first window's draws: each chunk keeps that window, filled through one sub-block
+    span = 201
+    chunk = simulate._CHUNK_DRAWS // span
+    window, sub_block = chunk * simulate._WINDOW * 8, simulate._SUB_DRAWS * 8
+    F = geometric_law(0.05, span - 1)
+    F.running_max  # F's own cached view, built before tracing
+    est, peak = _traced_peak(lambda: estimate_renewal_function(F, 0, span - 1, n_paths=20_000, seed=3))
+    assert len(est.terminal_pmf) <= simulate._WINDOW  # no path read past the window
+    assert peak <= window + sub_block + F.values.nbytes < chunk * span * 8 / 3
+    # on the unit-step law every path reads every draw: the window is drawn, then the rest of
+    # the chunk, and then whole chunks, one at a time
+    U = _unit_step(span)
+    U.running_max
+    _, peak = _traced_peak(lambda: estimate_renewal_function(U, 0, span - 1, n_paths=20_000, seed=3))
+    assert peak <= chunk * span * 8 + sub_block + U.values.nbytes

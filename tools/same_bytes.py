@@ -167,6 +167,7 @@ def write_inputs(where: Path) -> None:
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
     write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
     write_matrix_tsv(inputs.generating_df(256, 0.2), where / "law256.tsv")
+    write_matrix_tsv(geometric_law(0.5, 200), where / "geo201.tsv")  # about 100 renewals on the whole grid
     (where / "dip.tsv").write_text(_DIPPED_LAW)
     # a normal step so small that v / h is finite but the quadrature sweep's products overflow
     tiny = TwoTimeMatrix(TimeGrid(0.0, 3e-308, 31), geometric_law(0.9, 30).values, "distribution")
@@ -223,6 +224,12 @@ def invocations() -> list[list[str]]:
         ("in/law501.tsv", "1000", "3", "10", "300"),
         ("in/law201.tsv", "100000", "17", "0", "200"),  # 2e7 draws: 20 chunks
         ("in/law256.tsv", "20000", "19", "0", "255"),  # n = 256, the least n whose guide table is uint16
+        # paths outlive the estimator's first window of 32 draws, so a chunk is drawn again and the
+        # window widens; at span 63 a window would hold more than half of a chunk, which is drawn whole
+        ("in/geo201.tsv", "20000", "31", "0", "200"),
+        ("in/geo201.tsv", "40000", "37", "0", "62"),
+        ("in/geo201.tsv", "40000", "41", "0", "63"),
+        ("in/geo201.tsv", "40000", "43", "0", "64"),
         ("in/dip.tsv", "500", "13", "0", "5"),
         ("out/messy-bucket1-40/waiting_df_by_age.tsv", "300", "11", "30", "10"),  # a bad window
         ("in/dip.tsv", "0", "21", "0", "5"),  # no paths
