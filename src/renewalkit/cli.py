@@ -9,6 +9,7 @@ solved matrix) and ``selftest`` (embedded golden checks).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +41,13 @@ __all__ = ["main"]
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
+
+
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII digits after an optional minus sign, and nothing else."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def cmd_build_df(args: argparse.Namespace) -> int:
@@ -123,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", required=True, help="CSV with header policy_id,entry_age")
     p.add_argument("--claims", required=True, help="CSV with header policy_id,claim_age")
     p.add_argument("--out-dir", required=True, help="directory for the emitted TSV reports")
-    p.add_argument("--impute-age", type=int, default=24, help="entry age for records missing one")
-    p.add_argument("--cap-age", type=int, default=60, help="pool ages at and past this value")
+    p.add_argument("--impute-age", type=_integer, default=24, help="entry age for records missing one")
+    p.add_argument("--cap-age", type=_integer, default=60, help="pool ages at and past this value")
     p.add_argument(
         "--zero-duration",
         choices=("bucket1", "discard"),
@@ -146,10 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the renewal function")
     p.add_argument("--df", required=True, help="distribution matrix TSV")
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--start", type=int, required=True, help="start grid index")
-    p.add_argument("--horizon", type=int, required=True, help="horizon grid index")
+    p.add_argument("--paths", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--start", type=_integer, required=True, help="start grid index")
+    p.add_argument("--horizon", type=_integer, required=True, help="horizon grid index")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

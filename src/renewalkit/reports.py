@@ -15,7 +15,7 @@ import numpy as np
 
 from .claims import DurationHistogram, IngestReport, NoClaimRow
 from .grids import TwoTimeMatrix, _grid_text, write_table
-from .simulate import RNG_NAME, RenewalEstimate
+from .simulate import RNG_NAME, STREAM_NAME, RenewalEstimate
 
 __all__ = [
     "write_age_mean_report",
@@ -84,12 +84,12 @@ def write_simulation_report(
     """Estimated renewal-function row with a standard-error column.
 
     The metadata line records everything needed to replay the run: the grid,
-    the window, the seed, the path count and the generator name.
+    the window, the seed, the path count, the generator and the estimator's stream.
     """
     g = F.grid
     head = [
         f"# sim grid {_grid_text(g)} start={estimate.start_idx} horizon={estimate.horizon_idx}"
-        f" seed={estimate.seed} n_paths={estimate.n_paths} rng={RNG_NAME}",
+        f" seed={estimate.seed} n_paths={estimate.n_paths} rng={RNG_NAME} stream={STREAM_NAME}",
         "t_idx\ttime\testimate\tstd_err",
     ]
     t = estimate.t_indices()

@@ -7,12 +7,13 @@ Sampling is plain inverse transform with one stepping rule: a draw u on
 ``TwoTimeMatrix.running_max``, each row's running maximum of F.  A path ends
 once t passes the horizon, or the grid when u exceeds a defective row.
 ``sample_path`` bisects M's row tuples one draw at a time.
-``estimate_renewal_function`` steps all live paths at once: a guide table
-(Chen and Asau's indexed search) puts each draw in one bucket of its row, and
-a bisection runs only where that bucket holds a cell of M.  The rows of M are
-sorted, so both take the same step.  Its memory is the draws its paths read,
-one chunk of them at most, plus one buffer of draws and a table no larger
-than F.
+``estimate_renewal_function`` steps a group of paths at once, drawing one
+uniform per live path per step: a guide table (Chen and Asau's indexed
+search) puts each draw in one bucket of its row, and a bisection runs only
+where that bucket holds a cell of M.  The rows of M are sorted, so both take
+the same step, and a single path reads the same draws in either.  The
+estimator draws nothing its paths do not read, and its memory is one group's
+arrays plus a table no larger than F.
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ import numpy as np
 
 from .grids import TwoTimeMatrix, require_kind
 
-__all__ = ["RNG_NAME", "RenewalEstimate", "estimate_renewal_function", "sample_path"]
+__all__ = ["RNG_NAME", "STREAM_NAME", "RenewalEstimate", "estimate_renewal_function", "sample_path"]
 
 RNG_NAME = "PCG64"
 
-#: uniforms drawn and stepped at once by the estimator; bounds its working memory
-_CHUNK_DRAWS = 1 << 20
-#: uniforms drawn at once into the buffer that a chunk's draws pass through
-_SUB_DRAWS = 1 << 16
-#: leading columns of a chunk's draws kept at first, before any path shows it needs more
-_WINDOW = 32
+#: the estimator's paths per group: part of its stream, not a tuning knob
+_GROUP = 1 << 14
+#: the estimator's stream, as its reports name it: a draw per live path per step, in groups of ``_GROUP``
+STREAM_NAME = f"steps/{_GROUP}"
 
 
 @dataclass(frozen=True)
@@ -110,29 +109,6 @@ def _guide_table(M: np.ndarray) -> tuple[int, np.ndarray]:
     return K, G
 
 
-def _draw_columns(
-    rng: np.random.Generator, size: int, span: int, lo: int, hi: int, keep: np.ndarray | None = None
-) -> np.ndarray:
-    """Columns [lo, hi) of the next (size, span) block of uniforms, for the rows in keep.
-
-    The rows are drawn in stream order through one buffer of about
-    ``_SUB_DRAWS`` uniforms, so the block is never held whole.  keep is
-    increasing and defaults to every row.
-    """
-    store = np.empty((size if keep is None else len(keep), hi - lo))
-    buf = np.empty((min(size, max(1, _SUB_DRAWS // span)), span))
-    at = 0
-    for first in range(0, size, len(buf)):
-        block = rng.random(out=buf[: size - first])
-        if keep is None:
-            store[first : first + len(block)] = block[:, lo:hi]
-        else:
-            end = at + int(np.searchsorted(keep[at:], first + len(block)))
-            store[at:end] = block[keep[at:end] - first, lo:hi]
-            at = end
-    return store
-
-
 def estimate_renewal_function(
     F: TwoTimeMatrix, start_idx: int, horizon_idx: int, *, n_paths: int, seed: int
 ) -> RenewalEstimate:
@@ -141,27 +117,18 @@ def estimate_renewal_function(
     It steps n_paths >= 1 paths on PCG64 seeded with seed >= 0, and checks
     the window and F's kind as ``sample_path`` does.
 
-    Path i steps with row i of the seed's uniforms read as an (n_paths, span)
-    block; it makes at most span - 1 renewals, so its last draw ends it.  The
-    block is drawn and stepped in chunks of about ``_CHUNK_DRAWS`` uniforms,
-    keeping only integer sums per t: renewals, and the growth 2k - 1 of a
-    path's squared count at its k-th renewal.  So a seed fixes the result
-    whatever the chunk size, and the standard errors come from exact sums.
-    Each step looks every live path's draw up in the guide table (see
-    ``_guide_table``) and bisects, a round at a time, only the paths whose
-    bucket leaves more than one candidate, keeping compacted arrays of the
-    paths still open.
-
-    Most paths read few of their draws, so a chunk keeps only a window of
-    its leading columns, drawn through a buffer of about ``_SUB_DRAWS``
-    uniforms (see ``_draw_columns``).  If paths outlive the window, the
-    generator is set back to the chunk's start and the chunk drawn again,
-    keeping the columns left of the paths still open.  The window starts at
-    ``_WINDOW`` columns and widens after each chunk to the power of two at or
-    above the longest path's draws; once it would hold more than half the
-    span, chunks are drawn whole into one buffer.  So memory is bounded by
-    the draws the paths read, one chunk of them at most, plus one buffer of
-    ``_SUB_DRAWS`` uniforms and a table no larger than F.
+    The stream is step-major: paths run in groups of ``_GROUP``, in path
+    order, and at each step a group draws one uniform per live path, in
+    path order.  A path ends on its first draw past the horizon and draws
+    nothing after it, so no draw goes unread, and a single path reads the
+    stream as ``sample_path`` does.  Only integer sums per t are kept:
+    renewals, and the growth 2k - 1 of a path's squared count at its k-th
+    renewal, so the standard errors come from exact sums.  Each step looks
+    every live path's draw up in the guide table (see ``_guide_table``) and
+    bisects, a round at a time, only the paths whose bucket leaves more than
+    one candidate, keeping compacted arrays of the paths still open.  So
+    memory is a few arrays of one group's paths plus a table no larger than
+    F, whatever the span.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -174,34 +141,15 @@ def estimate_renewal_function(
     hits = np.zeros(span, dtype=np.int64)
     sq_hits = np.zeros(span, dtype=np.int64)
     reached = np.array([n_paths] + [0] * span, dtype=np.int64)  # paths with >= k renewals
-    chunk = min(n_paths, max(1, _CHUNK_DRAWS // span))
     M = F.running_max
     K, G = _guide_table(M)
     # flat views, gathered at flat offsets: one index array per gather
     Gf, Mf, width, n = G.ravel(), M.ravel(), K + 2, len(M)
-    cols, block = _WINDOW, None
-    for first in range(0, n_paths, chunk):
-        size = min(chunk, n_paths - first)
-        if 2 * cols > span:
-            # a window would hold more than half the chunk: draw it whole, refilling one buffer
-            cols = span
-            if block is None:
-                block = np.empty((chunk, span))
-            draws = rng.random(out=block[:size])
-        else:
-            state = rng.bit_generator.state
-            draws = _draw_columns(rng, size, span, 0, cols)
-        lead = 0  # the step whose draws are in column 0 of draws
-        rows = np.arange(size)
-        cur = np.full(size, start, dtype=np.intp)
-        for step in range(span):
-            if step == cols:
-                # paths outlive the window: draw the chunk again for the columns left of those still open
-                draws = None
-                rng.bit_generator.state = state
-                draws = _draw_columns(rng, size, span, cols, span, rows)
-                lead, rows = cols, np.arange(len(rows))
-            u = 1.0 - draws[:, step - lead][rows]  # uniform on (0, 1]
+    for first in range(0, n_paths, _GROUP):
+        cur = np.full(min(_GROUP, n_paths - first), start, dtype=np.intp)
+        step = 0
+        while len(cur):
+            u = 1.0 - rng.random(len(cur))  # uniform on (0, 1], one per live path
             at = cur * width + (u * K).astype(np.intp)
             age, cur, hi = cur, Gf[at].astype(np.intp), Gf[at + 1].astype(np.intp)
             # the step lies in [cur, hi]; bisect, on the paths still open, where that leaves a choice
@@ -216,17 +164,12 @@ def estimate_renewal_function(
                 still = lo < up
                 if not still.all():
                     todo, lo, up, row_at, v = todo[still], lo[still], up[still], row_at[still], v[still]
-            go = cur <= horizon
-            rows, cur = rows[go], cur[go]
+            cur = cur[cur <= horizon]
             renewed = np.bincount(cur - start, minlength=span)
             hits += renewed
             sq_hits += (2 * step + 1) * renewed
-            reached[step + 1] += len(rows)
-            if not len(rows):
-                break
-        draws = None
-        # the longest path read step + 1 draws
-        cols = min(span, max(cols, 1 << step.bit_length()))
+            step += 1
+            reached[step] += len(cur)
 
     s1 = np.cumsum(hits)
     # sample variance from Python ints, rounded once; a single path gives 0 / 1

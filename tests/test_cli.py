@@ -271,7 +271,7 @@ def test_simulate_writes_metadata_and_estimates(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# sim grid origin=18 h=1 n=11")
-    assert "seed=42" in lines[0] and "n_paths=500" in lines[0] and "rng=PCG64" in lines[0]
+    assert lines[0].endswith(" seed=42 n_paths=500 rng=PCG64 stream=steps/16384")
     assert lines[1] == "t_idx\ttime\testimate\tstd_err"
     body = [line.split("\t") for line in lines[2:]]
     assert [int(r[0]) for r in body] == list(range(11))
@@ -297,6 +297,45 @@ def test_simulate_names_a_negative_seed(tmp_path, capsys):
                "--start", "0", "--horizon", "10", "--out", str(tmp_path / "sim.tsv")])
     assert rc == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--paths", "1_0"), ("--seed", "\u0663"), ("--start", "+0"), ("--horizon", "\u0665"),
+    ("--paths", " 10"), ("--seed", "3\n"), ("--horizon", "5.0"), ("--paths", "1e3"),
+])
+def test_simulate_takes_integers_in_ascii_digits_only(tmp_path, capsys, option, value):
+    # int() would read "1_0" as 10 and Arabic-Indic digits as theirs; the option is named
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    argv = {"--paths": "10", "--seed": "3", "--start": "0", "--horizon": "5", option: value}
+    out = tmp_path / "sim.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--df", str(df_path), *(x for item in argv.items() for x in item), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"renewalkit simulate: error: argument {option}: expected an integer in ASCII digits, got {value!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--cap-age", "\u0664\u0660"), ("--impute-age", "2_4")])
+def test_build_df_takes_ages_in_ascii_digits_only(tmp_path, capsys, option, value):
+    policies, claims = tmp_path / "policies.csv", tmp_path / "claims.csv"
+    policies.write_text(MESSY_POLICIES)
+    claims.write_text(MESSY_CLAIMS)
+    with pytest.raises(SystemExit) as exc:
+        main(["build-df", "--policies", str(policies), "--claims", str(claims),
+              "--out-dir", str(tmp_path / "out"), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"renewalkit build-df: error: argument {option}: expected an integer in ASCII digits, got {value!r}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_options_take_a_minus_sign_and_leading_zeros(tmp_path):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    out = tmp_path / "sim.tsv"
+    assert main(["simulate", "--df", str(df_path), "--paths", "0010", "--seed", "007",
+                 "--start", "-0", "--horizon", "05", "--out", str(out)]) == 0
+    assert " start=0 horizon=5 seed=7 n_paths=10 " in out.read_text().splitlines()[0]
 
 
 def test_solve_report_matches_series_oracle(tmp_path):
@@ -464,7 +503,7 @@ _MESSY_DIGESTS = {
     "bucket1-40/ingest_report.txt": "8c42f1910715ffb9ff1a2515bfbdae4ba01823ccede18df16169c0a5408630e1",
     "bucket1-40/no_claim_probabilities.tsv": "f02f5ae9d3d6ab6bf370b7c289b413f7bd9778bc2fbf680fd9473f99798a3f65",
     "bucket1-40/report.tsv": "5990fea121ad89582a988294572d317c7042122f3ea62ff1deb8abb33ad267db",
-    "bucket1-40/sim.tsv": "6ea0fa4ca013a0da31d98d0ca39d7e183a4fdf16aaf989bb39e45d33c1e61573",
+    "bucket1-40/sim.tsv": "8dea842b782aa59dcc323642db1ad769655c424895523fc591ee4889402f07b9",
     "bucket1-40/waiting_df_by_age.tsv": "fcd2b265dbee7d9847d78a458b2fd980a01c193d4a09a01ba4320c0330b2e2f5",
     "bucket1-40/waiting_df_entry_to_first.tsv": "e1412eff3e9ea878a5106540bfc8de32ad01e0a698dee293bd1f054d29d8adf6",
     "bucket1-40/waiting_df_first_to_second.tsv": "9928523230863065edfc17b2142e83c3f2d7160ba969e5d0e28f7da0504892d4",
@@ -474,7 +513,7 @@ _MESSY_DIGESTS = {
     "bucket1-60/ingest_report.txt": "8c42f1910715ffb9ff1a2515bfbdae4ba01823ccede18df16169c0a5408630e1",
     "bucket1-60/no_claim_probabilities.tsv": "c36e40ca46f00b04686557099bf6dfec693f3582b5b040367c844b213f9ca647",
     "bucket1-60/report.tsv": "c80c17567e74abb0b2d3c134d73d1a4eb210121a69ced521e23259480af20576",
-    "bucket1-60/sim.tsv": "f8696d92aa67d009777bc20bf5c14685ebe851c9e5ede828383ebab9d36c3915",
+    "bucket1-60/sim.tsv": "2044beb12e7ef4ac97799506b42377600cd66fc1196a9c67501ac1b9928ab00a",
     "bucket1-60/waiting_df_by_age.tsv": "6eb75f1c47bdfd4c8688a9d3572d58377c30b3b0b87c68b25f627149c5b98d49",
     "bucket1-60/waiting_df_entry_to_first.tsv": "e1412eff3e9ea878a5106540bfc8de32ad01e0a698dee293bd1f054d29d8adf6",
     "bucket1-60/waiting_df_first_to_second.tsv": "9928523230863065edfc17b2142e83c3f2d7160ba969e5d0e28f7da0504892d4",
@@ -484,7 +523,7 @@ _MESSY_DIGESTS = {
     "discard-40/ingest_report.txt": "3dfd230c12bf4ebeecf4b9df95263eb49607794ed2d9fb716a8ac327de97054a",
     "discard-40/no_claim_probabilities.tsv": "d1cba141352ffb23d06118864d4df0c41ef4dcff9f8ce43c2227fffa7f25e1a2",
     "discard-40/report.tsv": "a8dbef40da5d01be0d9a972268ec12d5a93bdba5ce173649da39a9b6795d5e13",
-    "discard-40/sim.tsv": "ed789bc5a512fbf7ed1b10cdef8b81accaa5463ae79a1ad07ae12610769c9fbd",
+    "discard-40/sim.tsv": "871d8e411381dfe99a6e98f528332de5c1f8eb149433ec6bb9fbfbfe3b10741c",
     "discard-40/waiting_df_by_age.tsv": "e3c93ce3ca3cd81b01942cc4051537882d1ddfff3f73b05750dea997115ed25a",
     "discard-40/waiting_df_entry_to_first.tsv": "b85cbe1cda805bb0c0b04821df4c2158045fc0a9a4d1d48a5bd37e6efafebc40",
     "discard-40/waiting_df_first_to_second.tsv": "b7c9e210c32d3f4e1307879ef585faa5d7f5265edd6d74a51dc85f6d61c17802",
@@ -494,7 +533,7 @@ _MESSY_DIGESTS = {
     "discard-60/ingest_report.txt": "3dfd230c12bf4ebeecf4b9df95263eb49607794ed2d9fb716a8ac327de97054a",
     "discard-60/no_claim_probabilities.tsv": "8bffcca5602d3c553bbd46bcae1945e32193ab6311d9a1f14b22756cce3ba80f",
     "discard-60/report.tsv": "7e2d7d04bdbebde08363580da70492e0141f6984b3282cc9648e25c89364e086",
-    "discard-60/sim.tsv": "df1006aa87952425909e8c9dea4c70572cbd078923892de3e34e2e18e00e08ae",
+    "discard-60/sim.tsv": "7d76b1a4015450377417829434c29d2917203cb0518596ca5d2a4ab3d89833b3",
     "discard-60/waiting_df_by_age.tsv": "1810363fa3c570c4db4025afdcf0a7bc0f3fbad1fa24d712bd303730c2c83636",
     "discard-60/waiting_df_entry_to_first.tsv": "b85cbe1cda805bb0c0b04821df4c2158045fc0a9a4d1d48a5bd37e6efafebc40",
     "discard-60/waiting_df_first_to_second.tsv": "b7c9e210c32d3f4e1307879ef585faa5d7f5265edd6d74a51dc85f6d61c17802",

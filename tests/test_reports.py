@@ -107,7 +107,7 @@ def _oracle_simulation(estimate, F):
     lines = [
         f"# sim grid origin={_fmt17(g.origin)} h={_fmt17(g.step_h)} n={g.n_points}"
         f" start={estimate.start_idx} horizon={estimate.horizon_idx}"
-        f" seed={estimate.seed} n_paths={estimate.n_paths} rng=PCG64",
+        f" seed={estimate.seed} n_paths={estimate.n_paths} rng=PCG64 stream=steps/16384",
         "t_idx\ttime\testimate\tstd_err",
     ]
     for j, t in enumerate(estimate.t_indices()):

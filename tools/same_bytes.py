@@ -1,4 +1,4 @@
-"""Check that the working tree's CLI writes the same bytes as another revision.
+"""Check that the working tree's CLI writes the same bytes as another revision, but where declared.
 
 From the root of a checkout::
 
@@ -10,8 +10,20 @@ directory (local, no network), writes one set of inputs with this tree's
 tree, with that tree's ``src`` first on ``PYTHONPATH``.  Each tree runs the
 list in one process from its own directory with relative paths, so that
 messages naming a file read the same.  It then compares every exit code,
-stdout, stderr and output file, prints one line per difference and a
-summary line, removes the worktree, and exits 1 if anything differs.
+stdout, stderr and output file, and removes the worktree.
+
+Each difference is one line, such as ``stderr differs: simulate --df ...``
+(the invocation's arguments) or ``file differs: sim-17.tsv`` (a path under
+the output directory); the other kinds are ``exit code differs``, ``stdout
+differs``, ``file missing from the working tree's output`` and ``file
+missing from the base output``.  A change that alters an output on purpose
+lists each difference it expects, one line as printed here, in
+``tools/declared_differences.txt``; lines that are blank or start with ``#``
+are comments.  The file holds no declaration when nothing should differ,
+and each change rewrites it.  The check prints every difference found,
+marked ``declared`` or ``UNDECLARED``, then every declaration that no
+difference matched as ``STALE``, and a summary line.  It exits 1 on an
+undeclared difference or a stale declaration.
 
 Both trees run on the same host, so ``solve`` bytes are compared too.
 """
@@ -29,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DECLARED = ROOT / "tools" / "declared_differences.txt"
 METHODS = ("exact", "rect-right", "rect-left", "trapezoid", "simpson")
 #: rows added to the policies and claims of the messy corpus, each making build-df fail; they are
 #: written with surrogateescape, so U+DCFF is the byte 0xff, which is not UTF-8
@@ -222,10 +235,9 @@ def invocations() -> list[list[str]]:
     for df, paths, seed, start, horizon in (
         ("out/c3k-bucket1-60/waiting_df_by_age.tsv", "3000", "7", "0", "42"),
         ("in/law501.tsv", "1000", "3", "10", "300"),
-        ("in/law201.tsv", "100000", "17", "0", "200"),  # 2e7 draws: 20 chunks
+        ("in/law201.tsv", "100000", "17", "0", "200"),  # 7 groups of paths, the last part-filled
         ("in/law256.tsv", "20000", "19", "0", "255"),  # n = 256, the least n whose guide table is uint16
-        # paths outlive the estimator's first window of 32 draws, so a chunk is drawn again and the
-        # window widens; at span 63 a window would hold more than half of a chunk, which is drawn whole
+        # long paths, about one renewal every two steps, so groups stay live for many steps
         ("in/geo201.tsv", "20000", "31", "0", "200"),
         ("in/geo201.tsv", "40000", "37", "0", "62"),
         ("in/geo201.tsv", "40000", "41", "0", "63"),
@@ -239,6 +251,14 @@ def invocations() -> list[list[str]]:
     ):
         runs.append(["simulate", "--df", df, "--paths", paths, "--seed", seed, "--start", start,
                      "--horizon", horizon, "--out", f"out/sim-{seed}.tsv"])
+    # integer options take ASCII digits and a minus sign only: not "1_0", nor Arabic-Indic digits, nor "+"
+    for option, value in (("--paths", "1_0"), ("--seed", "\u0663"), ("--start", "+0"), ("--horizon", "\u0665")):
+        argv = {"--paths": "10", "--seed": "3", "--start": "0", "--horizon": "5", option: value}
+        runs.append(["simulate", "--df", "in/dip.tsv", *(x for item in argv.items() for x in item),
+                     "--out", f"out/sim-digits{option}.tsv"])
+    for option, value in (("--cap-age", "\u0664\u0660"), ("--impute-age", "2_4")):
+        runs.append(["build-df", "--policies", "in/c15/policies.csv", "--claims", "in/c15/claims.csv",
+                     "--out-dir", f"out/digits{option}", option, value])
     for name in _MATRIX_FAULTS:
         runs.append(["report", "--matrix", f"in/{name}.tsv", "--out", f"out/report-{name}.tsv"])
     for name, (_, method) in _GRID_FAULTS.items():
@@ -276,10 +296,38 @@ def compare(runs, base, change, base_files, change_files) -> list[str]:
     return diffs
 
 
+def differences(base_tree: Path, change_tree: Path, inputs_dir: Path, runs: list[list[str]], work: Path) -> list[str]:
+    """Run ``runs`` under both trees on copies of ``inputs_dir``, in ``work``; one line per difference."""
+    base = run_tree(base_tree, inputs_dir, work / "base", runs)
+    change = run_tree(change_tree, inputs_dir, work / "change", runs)
+    return compare(runs, base, change, files(work / "base" / "out"), files(work / "change" / "out"))
+
+
+def read_declared(path: Path) -> list[str]:
+    """The declared differences: every line of ``path`` that is neither blank nor a ``#`` comment."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")]
+
+
+def report(found: list[str], declared: list[str]) -> int:
+    """Print each difference and each stale declaration; 1 if any difference is undeclared or any declaration stale."""
+    expected = set(declared)
+    undeclared = [line for line in found if line not in expected]
+    stale = sorted(expected - set(found))
+    for line in found:
+        print(f"{'declared' if line in expected else 'UNDECLARED'}: {line}")
+    for line in stale:
+        print(f"STALE: {line}")
+    print(f"same_bytes: {len(found)} differences, {len(undeclared)} undeclared; "
+          f"{len(expected)} declarations, {len(stale)} stale")
+    return 1 if undeclared or stale else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the revision to compare with, e.g. HEAD~")
     args = parser.parse_args(argv)
+    declared = read_declared(DECLARED)
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.against],
                          capture_output=True, text=True, check=True).stdout.strip()
     tmp = Path(tempfile.mkdtemp(prefix="same_bytes_"))
@@ -289,20 +337,14 @@ def main(argv: list[str] | None = None) -> int:
                        check=True)
         write_inputs(tmp / "inputs")
         runs = invocations()
-        base = run_tree(base_tree, tmp / "inputs", tmp / "base", runs)
-        change = run_tree(ROOT, tmp / "inputs", tmp / "change", runs)
-        base_files, change_files = files(tmp / "base" / "out"), files(tmp / "change" / "out")
-        diffs = compare(runs, base, change, base_files, change_files)
+        found = differences(base_tree, ROOT, tmp / "inputs", runs, tmp)
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base_tree)],
                        capture_output=True)
         subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-    for line in diffs:
-        print(line)
-    print(f"same_bytes: {len(diffs)} differences against {args.against} ({sha}) "
-          f"in {len(runs)} invocations and {len(change_files)} files")
-    return 1 if diffs else 0
+    print(f"against {args.against} ({sha}), {len(runs)} invocations")
+    return report(found, declared)
 
 
 if __name__ == "__main__":
