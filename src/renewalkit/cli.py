@@ -4,11 +4,20 @@ Subcommands: ``build-df`` (CSV records to distribution functions and count
 reports), ``solve`` (renewal function from a distribution matrix),
 ``simulate`` (Monte Carlo estimate), ``report`` (age-labelled table from a
 solved matrix) and ``selftest`` (embedded golden checks).
+
+``main(argv)`` may be called many times in one process, as the bench harness
+and the tests do.  It builds its parser on the first call and reuses it after:
+argparse keeps no state between parses, and ``--help`` reads the terminal
+width when it formats.  The handlers given to ``set_defaults(func=...)`` are
+bound at that first build, so patching ``cli.cmd_*`` afterwards has no effect;
+patching a name a handler calls, such as ``cli.ingest``, still does, because
+the handler looks it up at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -120,6 +129,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renewalkit",

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import renewalkit
-from renewalkit import golden, grids, selftest
+from renewalkit import cli, golden, grids, selftest
 from renewalkit.claims import NoClaimRow, no_claim_table
 from renewalkit.cli import main
 from renewalkit.convolve import RULE_WEIGHTS
@@ -372,6 +373,71 @@ def test_report_subcommand_round_trips(tmp_path):
     out = tmp_path / "table.tsv"
     assert main(["report", "--matrix", str(h_path), "--out", str(out)]) == 0
     assert out.read_text() == (tmp_path / "H.tsv.report.tsv").read_text()
+
+
+def test_main_builds_no_parser_after_its_first_call(tmp_path, monkeypatch):
+    # the first call in this process may build the parser; no later one may
+    assert main(["report", "--matrix", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "t.tsv")]) == 1
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    (tmp_path / "policies.csv").write_text(MESSY_POLICIES)
+    (tmp_path / "claims.csv").write_text(MESSY_CLAIMS)
+    out = tmp_path / "out"
+    assert main(["build-df", "--policies", str(tmp_path / "policies.csv"),
+                 "--claims", str(tmp_path / "claims.csv"), "--out-dir", str(out), "--cap-age", "40"]) == 0
+    F, H = out / "waiting_df_by_age.tsv", tmp_path / "H.tsv"
+    assert main(["solve", "--df", str(F), "--method", "simpson", "--out", str(H)]) == 0
+    assert main(["simulate", "--df", str(F), "--paths", "50", "--seed", "1",
+                 "--start", "0", "--horizon", "5", "--out", str(tmp_path / "sim.tsv")]) == 0
+    assert main(["report", "--matrix", str(H), "--out", str(tmp_path / "table.tsv")]) == 0
+    assert built == []
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    df_path = tmp_path / "F.tsv"
+    write_matrix_tsv(geometric_law(0.3, 12), df_path)
+
+    def simulate(out, paths="300"):
+        return main(["simulate", "--df", str(df_path), "--paths", paths, "--seed", "5",
+                     "--start", "0", "--horizon", "12", "--out", str(tmp_path / out)])
+
+    def usage_error(call):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    assert simulate("a.tsv") == 0
+    bad_paths = usage_error(lambda: simulate("bad.tsv", paths="1_0"))
+    assert "argument --paths: expected an integer in ASCII digits, got '1_0'" in bad_paths
+    bad_method = usage_error(lambda: main(["solve", "--df", str(df_path), "--method", "nope",
+                                           "--out", str(tmp_path / "H.tsv")]))
+    assert "argument --method: invalid choice: 'nope'" in bad_method
+    assert main(["solve", "--df", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "H.tsv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert simulate("b.tsv") == 0
+    assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "a.tsv").read_bytes()
+    assert usage_error(lambda: simulate("bad.tsv", paths="1_0")) == bad_paths
+    assert not (tmp_path / "bad.tsv").exists() and not (tmp_path / "H.tsv").exists()
+
+
+def test_help_wraps_to_the_terminal_width_at_call_time(monkeypatch, capsys):
+    cli._build_parser()
+
+    def solve_help(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(["solve", "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    texts = []
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        text = solve_help(main)
+        assert text == solve_help(cli._build_parser.__wrapped__().parse_args)
+        texts.append(text)
+    assert texts[0] != texts[1]
 
 
 def test_selftest_passes_on_fresh_checkout(capsys):
