@@ -210,6 +210,16 @@ def test_tsv_round_trip_is_bit_identical_for_every_kind(tmp_path, matrix):
     assert back.values.tobytes() == matrix.values.tobytes()
 
 
+def test_a_row_of_mixed_spellings_reads_as_float_reads_each_cell(tmp_path):
+    cells = ["1e-3", "+2", "-0", " 4 ", ".5"]
+    path = tmp_path / "spellings.tsv"
+    rows = ["\t".join(cells)] + ["\t".join(["0"] * (5 - i)) for i in range(1, 5)]
+    path.write_text("# grid origin=0 h=1 n=5 kind=generic\n" + "\n".join(rows) + "\n")
+    row = read_matrix_tsv(path).values[0]
+    assert row.tobytes() == np.array([float(x) for x in cells]).tobytes()
+    assert np.signbit(row[2])
+
+
 def test_tsv_rejects_malformed_files(tmp_path):
     good = tmp_path / "good.tsv"
     write_matrix_tsv(

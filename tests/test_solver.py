@@ -1,11 +1,13 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalkit import solver
 from renewalkit.convolve import RULE_WEIGHTS, density_convolve, increments_from_df, nfold_convolution
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv
 from renewalkit.solver import (
@@ -93,6 +95,83 @@ def test_solve_series_matches_solve_discrete_on_random_input():
         H = solve_discrete(F)
         S = solve_series(F, tol=1e-12).renewal
         assert np.abs(H.values - S.values).max() <= 1e-10
+
+
+def _dipped(F, rng):
+    """F with five rows whose last value sits 5e-10 below their maximum, a dip inside the 1e-9 slack."""
+    values = F.values.copy()
+    values[rng.choice(F.n_points - 2, 5, replace=False), -1] -= 5e-10
+    return TwoTimeMatrix(F.grid, values, "distribution")
+
+
+def _series_laws():
+    rng = np.random.default_rng(71)
+    for min_mass in (0.3, 1.0):
+        for n in range(2, 41):
+            yield random_defective_df(rng, n, min_mass=min_mass)
+    yield geometric_law(0.3, 40)
+    yield _dipped(random_defective_df(rng, 30), rng)
+
+
+def _reference_series(F, tol=1e-12):
+    """sum_{k < N} v^k F by matrix powers, and N: the terms k >= 2 are counted while the
+    row-maxima bound max_s (v^(k-1) m)(s) is at least tol, the first term always."""
+    v, m = increments_from_df(F).values, F.running_max[:, -1]
+    N = 1
+    while (np.linalg.matrix_power(v, N) @ m).max() >= tol:
+        N += 1
+    return sum(np.linalg.matrix_power(v, k) @ F.values for k in range(N)), N
+
+
+def test_series_matches_the_sum_of_matrix_powers():
+    for F in _series_laws():
+        reference, N = _reference_series(F)
+        res = solve_series(F)
+        assert res.n_terms == N
+        assert np.abs(res.renewal.values - reference).max() <= 1e-13 * reference.max()
+
+
+def test_series_counts_terms_by_the_row_maxima_of_a_dipping_law():
+    # row 1 rises to 9e-10 and falls back to 0, a dip inside the 1e-9 slack: F^(2)(0, .) = F(1, .),
+    # so its last column bounds the second term by 0 and its maximum by 9e-10, the term's true size
+    values = np.zeros((4, 4))
+    values[0, 1:] = 1.0
+    values[1, 2] = 9e-10
+    F = TwoTimeMatrix(TimeGrid(0.0, 1.0, 4), values, "distribution")
+    res = solve_series(F, tol=5e-10)
+    assert res.n_terms == 2
+    assert res.renewal.at(0, 2) == pytest.approx(1.0 + 9e-10, abs=1e-15)
+
+
+def test_series_makes_at_most_two_products_per_doubling_and_one_per_further_bit(monkeypatch):
+    # one renewal every step: F^(k)(s, t) = 1 for t - s >= k, so the series has exactly T terms,
+    # H(s, t) = t - s, and every product is exact; T > 64 takes the blocked product
+    products = []
+    product = solver._triu_product
+    monkeypatch.setattr(solver, "_triu_product", lambda A, B: products.append(1) or product(A, B))
+    for T in range(1, 71):
+        products.clear()
+        res = solve_series(geometric_law(1.0, T))
+        N = res.n_terms
+        assert N == T
+        assert len(products) <= 2 * (N.bit_length() - 1) + N.bit_count() - 1
+        lag = np.arange(T + 1)
+        assert np.array_equal(res.renewal.values, np.triu(lag - lag[:, None]))
+
+
+def test_series_holds_no_more_arrays_than_the_term_by_term_sum():
+    # four n x n arrays at once, as the term-by-term sum held (v, H and two terms): B, P, H and one
+    # fresh product; the law is built before the trace, so only the sum's own allocations count
+    n = 300
+    F = random_defective_df(np.random.default_rng(83), n)
+    tracemalloc.start()
+    try:
+        res = solve_series(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_terms > 8  # enough terms that both doublings and prepends run
+    assert peak <= 4 * n * n * 8 + 64 * 1024
 
 
 def test_solve_quadrature_poisson_within_two_percent():
