@@ -10,11 +10,21 @@ The header's ``n`` is ASCII digits, and the last grid time must be finite.
 A byte that is not UTF-8 fails at its cell.  The reader makes one forward
 pass: n rows by ``readline``, then fixed-size reads up to the first
 character after them that is not blank.
+
+The reader keeps one matrix: the last one it read, keyed by the byte size
+and sha256 of the bytes it parsed.  A file of that size is hashed first, and
+if its bytes are the same, that immutable matrix is returned without a
+parse, whatever the file's path; so ``cli.main`` calls in one process that
+read one ``--df`` in turn parse it once.  Any other file is parsed through a stream
+that hashes exactly the bytes read, so a file of another size is not read
+twice.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import io
 import math
 import operator
 import os
@@ -230,15 +240,57 @@ def _grid_text(grid: TimeGrid) -> str:
     return f"origin={format_cell(grid.origin)} h={format_cell(grid.step_h)} n={grid.n_points}"
 
 
+#: (byte size, sha256 digest, matrix) of the bytes that the last whole read parsed, or None
+_last: tuple[int, bytes, TwoTimeMatrix] | None = None
+#: bytes hashed at a time when a file is the size of the kept matrix's
+_HASH_CHUNK = 1 << 16
+
+
 def read_matrix_tsv(path: str | Path) -> TwoTimeMatrix:
-    """Read a matrix written by :func:`write_matrix_tsv`; every error names the file."""
+    """Read a matrix written by :func:`write_matrix_tsv`; every error names the file.
+
+    A file whose bytes are those of the last matrix read, at this path or
+    another, returns that same immutable object: one matrix is kept, keyed by
+    the size and sha256 of the bytes parsed.  A file that fails leaves it kept.
+    """
+    global _last
     path = Path(path)
+    kept = _last  # one snapshot: another thread may replace _last meanwhile
     try:
-        # a byte that is not UTF-8 reads as a lone surrogate, which the number rule rejects at its cell
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return _parse_matrix_tsv(fh)
+        with open(path, "rb") as raw:
+            if kept is not None and os.fstat(raw.fileno()).st_size == kept[0]:
+                digest = hashlib.sha256()
+                while chunk := raw.read(_HASH_CHUNK):
+                    digest.update(chunk)
+                if digest.digest() == kept[1]:
+                    return kept[2]
+                raw.seek(0)
+            hashed = _HashingReader(raw)
+            # a byte that is not UTF-8 reads as a lone surrogate, which the number rule rejects at its cell
+            with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8", errors="surrogateescape") as fh:
+                matrix = _parse_matrix_tsv(fh)
+            _last = (hashed.size, hashed.digest.digest(), matrix)
+            return matrix
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file read through, counting and hashing every byte that passes; closing leaves it open."""
+
+    def __init__(self, raw) -> None:
+        self._raw = raw
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        got = self._raw.readinto(buffer)
+        self.size += got
+        self.digest.update(memoryview(buffer)[:got])
+        return got
 
 
 def _parse_matrix_tsv(fh) -> TwoTimeMatrix:

@@ -2,6 +2,8 @@ import csv
 
 import pytest
 
+from renewalkit import grids
+
 
 @pytest.fixture
 def csv_writer(tmp_path):
@@ -21,3 +23,18 @@ def csv_writer(tmp_path):
         return p_path, c_path
 
     return write
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Empty the reader's kept matrix and record every parse it makes."""
+    monkeypatch.setattr(grids, "_last", None)
+    seen = []
+    parse = grids._parse_matrix_tsv
+
+    def counted(fh):
+        seen.append(fh)
+        return parse(fh)
+
+    monkeypatch.setattr(grids, "_parse_matrix_tsv", counted)
+    return seen

@@ -198,6 +198,27 @@ def test_a_matrix_that_is_not_a_distribution_is_named_as_the_files_fault(tmp_pat
     assert not out.exists()
 
 
+def test_one_df_is_parsed_once_by_five_solves_and_a_simulate(tmp_path, parses):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    for method in ("exact", *RULE_WEIGHTS):
+        assert main(["solve", "--df", str(df_path), "--method", method, "--out", str(tmp_path / f"H_{method}.tsv")]) == 0
+    assert main(["simulate", "--df", str(df_path), "--paths", "100", "--seed", "1", "--start", "0",
+                 "--horizon", "10", "--out", str(tmp_path / "sim.tsv")]) == 0
+    assert len(parses) == 1
+
+
+def test_a_renewal_matrix_read_on_a_hit_still_fails_the_kind_check_naming_its_path(tmp_path, capsys, parses):
+    df_path, _ = _write_unit_step_ages(tmp_path)
+    h_path, twin, out = tmp_path / "H.tsv", tmp_path / "twin.tsv", tmp_path / "out.tsv"
+    assert main(["solve", "--df", str(df_path), "--out", str(h_path)]) == 0
+    twin.write_bytes(h_path.read_bytes())
+    assert main(["report", "--matrix", str(h_path), "--out", str(tmp_path / "ages.tsv")]) == 0
+    assert main(["solve", "--df", str(twin), "--out", str(out)]) == 1
+    assert len(parses) == 2  # F and H: the twin was a hit
+    assert capsys.readouterr().err == f"error: {twin}: expected a distribution matrix, got kind 'renewal'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "report"])
 def test_a_matrix_of_short_rows_fails_before_the_n_by_n_allocation(tmp_path, capsys, command):
     # 10**6 one-cell rows under a header of n = 10**6: 2 MB, where an n x n matrix is 7.28 TiB

@@ -1,13 +1,17 @@
+import gc
+import hashlib
 import math
 import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from renewalkit import grids
 from renewalkit.grids import KINDS, TimeGrid, TwoTimeMatrix, read_matrix_tsv, write_matrix_tsv, write_table
 from renewalkit.testing import random_defective_df
 
@@ -319,6 +323,81 @@ def test_trailing_content_is_read_in_bounded_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (mib, peak)
+
+
+_TWO_POINT_HEAD = "# grid origin=0 h=1 n=2 kind=distribution\n"
+
+
+def test_identical_bytes_are_parsed_once_and_keyed_by_their_sha256(tmp_path, parses):
+    first, copy = tmp_path / "a.tsv", tmp_path / "copy.tsv"
+    first.write_text(_TWO_POINT_HEAD + "0\t0.5\n0\n")
+    copy.write_bytes(first.read_bytes())
+    matrix = read_matrix_tsv(first)
+    assert read_matrix_tsv(copy) is matrix
+    assert read_matrix_tsv(first) is matrix
+    assert len(parses) == 1
+    data = first.read_bytes()
+    assert grids._last == (len(data), hashlib.sha256(data).digest(), matrix)
+
+
+def test_an_in_place_rewrite_of_the_same_size_and_mtime_is_read_again(tmp_path, parses):
+    path = tmp_path / "m.tsv"
+    path.write_text(_TWO_POINT_HEAD + "0\t0.5\n0\n")
+    before = os.stat(path)
+    assert read_matrix_tsv(path).at(0, 1) == 0.5
+    path.write_text(_TWO_POINT_HEAD + "0\t0.7\n0\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (before.st_size, before.st_mtime_ns, before.st_ino)
+    assert read_matrix_tsv(path).at(0, 1) == 0.7
+    assert len(parses) == 2
+
+
+def test_a_file_changed_between_the_hash_and_the_parse_is_kept_under_the_bytes_parsed(tmp_path, monkeypatch):
+    kept, racing, original = (tmp_path / f"{name}.tsv" for name in ("kept", "racing", "original"))
+    kept.write_text(_TWO_POINT_HEAD + "0\t0.1\n0\n")
+    racing.write_text(_TWO_POINT_HEAD + "0\t0.5\n0\n")
+    original.write_bytes(racing.read_bytes())
+    monkeypatch.setattr(grids, "_last", None)
+    read_matrix_tsv(kept)  # so that the racing read, of the same size, makes a hash pass first
+    parse = grids._parse_matrix_tsv
+
+    def rewritten_first(fh):
+        with open(racing, "r+b") as out:  # in place: the reader's open file sees the new bytes
+            out.write((_TWO_POINT_HEAD + "0\t0.7\n0\n").encode())
+        return parse(fh)
+
+    monkeypatch.setattr(grids, "_parse_matrix_tsv", rewritten_first)
+    assert read_matrix_tsv(racing).at(0, 1) == 0.7
+    monkeypatch.setattr(grids, "_parse_matrix_tsv", parse)
+    assert read_matrix_tsv(original).at(0, 1) == 0.5
+    assert read_matrix_tsv(racing).at(0, 1) == 0.7
+
+
+def test_a_faulty_file_of_the_kept_size_fails_at_its_cell_and_leaves_the_kept_matrix(tmp_path, parses):
+    good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+    good.write_text(_TWO_POINT_HEAD + "0\t0.5\n0\n")
+    bad.write_text(_TWO_POINT_HEAD + "0\t0.x\n0\n")
+    matrix = read_matrix_tsv(good)
+    kept = grids._last
+    with pytest.raises(ValueError) as exc:
+        read_matrix_tsv(bad)
+    assert str(exc.value) == f"{bad}: row 0, column 1: cannot parse '0.x'"
+    assert grids._last is kept
+    assert read_matrix_tsv(good) is matrix
+    assert len(parses) == 2
+
+
+def test_the_reader_keeps_one_matrix(tmp_path, parses):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    a.write_text(_TWO_POINT_HEAD + "0\t0.5\n0\n")
+    b.write_text(_TWO_POINT_HEAD + "0\t0.25\n0\n")
+    first = weakref.ref(read_matrix_tsv(a))
+    gc.collect()
+    assert first() is not None  # kept by the reader
+    read_matrix_tsv(b)
+    gc.collect()
+    assert first() is None
 
 
 def test_written_files_follow_the_umask(tmp_path):

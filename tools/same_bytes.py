@@ -93,6 +93,8 @@ _MATRIX_FAULTS = {
     "bad-cell": "0\tabc\n0\n",
     "byte-cell": "0\t0.\udcff5\n0\n",
 }
+#: (row, column) of the cell whose last digit law501-twin.tsv replaces by 'x'
+_TWIN_CELL = (7, 100)
 #: headers that solve rejects, or whose step its quadrature rules cannot divide by, with the method run
 _GRID_FAULTS = {
     "digits-header": ("# grid origin=\u0660 h=1_0 n=2 kind=distribution\n0\t0.5\n0\n", "exact"),
@@ -178,6 +180,13 @@ def write_inputs(where: Path) -> None:
         for file, text in (("policies.csv", MESSY_POLICIES + policies), ("claims.csv", MESSY_CLAIMS + claims)):
             (where / name / file).write_text(text, encoding="utf-8", errors="surrogateescape")
     write_matrix_tsv(inputs.generating_df(501, 0.1), where / "law501.tsv")
+    shutil.copy(where / "law501.tsv", where / "law501-copy.tsv")
+    law = (where / "law501.tsv").read_bytes().split(b"\n")
+    row, column = _TWIN_CELL
+    cells = law[1 + row].split(b"\t")
+    cells[column - row] = cells[column - row][:-1] + b"x"  # the last digit: the twin keeps the size
+    law[1 + row] = b"\t".join(cells)
+    (where / "law501-twin.tsv").write_bytes(b"\n".join(law))
     write_matrix_tsv(inputs.generating_df(201, 0.25), where / "law201.tsv")
     write_matrix_tsv(inputs.generating_df(256, 0.2), where / "law256.tsv")
     write_matrix_tsv(geometric_law(0.5, 200), where / "geo201.tsv")  # about 100 renewals on the whole grid
@@ -224,7 +233,12 @@ def invocations() -> list[list[str]]:
                      ("messy", "out/messy-discard-40/waiting_df_by_age.tsv"), ("dip", "in/dip.tsv")):
         for method in METHODS:
             runs.append(["solve", "--df", df, "--method", method, "--out", f"out/H-{name}-{method}.tsv"])
+        if name == "law501":  # the same bytes at another path, then a twin of the same size that fails
+            for twin in ("law501-copy", "law501-twin"):
+                runs.append(["solve", "--df", f"in/{twin}.tsv", "--out", f"out/H-{twin}.tsv"])
         runs.append(["report", "--matrix", f"out/H-{name}-exact.tsv", "--out", f"out/report-{name}.tsv"])
+        if name == "law501":  # twice in a row on one matrix
+            runs.append(["report", "--matrix", "out/H-law501-exact.tsv", "--out", "out/report-law501-again.tsv"])
         runs.append(["report", "--matrix", df, "--out", f"out/report-{name}-input.tsv"])
     for method in METHODS:
         runs.append(["solve", "--df", "in/tiny-step.tsv", "--method", method, "--out", f"out/H-tiny-{method}.tsv"])
