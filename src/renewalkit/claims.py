@@ -80,9 +80,6 @@ _BLOCK = 1 << 13
 #: the bytes a plain field may hold: printable ASCII but space, quote and comma
 _FIELD_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b'",')
 
-#: each age in 0..MAX_AGE by its canonical text, clamped as :func:`_parse_age` clamps it
-_AGE_OF = {str(i): max(i, BASE_AGE - 1) for i in range(MAX_AGE + 1)}
-
 #: characters of an age echoed in its error message
 _ECHO = 32
 
@@ -396,6 +393,10 @@ def _parse_age(text: str, path: str | Path, lineno: int) -> int:
     return age if age >= BASE_AGE else BASE_AGE - 1
 
 
+#: each age in 0..MAX_AGE by its canonical text, as :func:`_parse_age` reads it
+_AGE_OF = {str(i): _parse_age(str(i), "", 0) for i in range(MAX_AGE + 1)}
+
+
 def _cut(text: str) -> str:
     """What a message adds after echoing ``text[:_ECHO]``: nothing, or how much was cut."""
     return f" (the first {_ECHO} of {len(text)} characters)" if len(text) > _ECHO else ""
@@ -503,6 +504,7 @@ class OccurrenceTable:
     dropped_beyond_cap: int = 0
 
     def __post_init__(self) -> None:
+        _check_cap_age(self.cap_age)
         c = np.array(self.counts, dtype=np.int64)  # a private copy, frozen below
         n = self.cap_age - BASE_AGE + 1
         if c.shape != (n, n):

@@ -151,7 +151,12 @@ def nfold_convolution(F: TwoTimeMatrix, n: int) -> TwoTimeMatrix:
     return TwoTimeMatrix(F.grid, np.clip(out, 0.0, 1.0, out=out), "distribution")
 
 
-def density_convolve(f: TwoTimeMatrix, g: TwoTimeMatrix, rule: str = "trapezoid") -> TwoTimeMatrix:
+def _by_span(w: np.ndarray) -> np.ndarray:
+    """The read-only n x n view of w[t - s] for a length-n ``w``, zero below the diagonal."""
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((np.zeros(len(w) - 1), w)), len(w))[::-1]
+
+
+def density_convolve(f: TwoTimeMatrix, g: TwoTimeMatrix, rule: str) -> TwoTimeMatrix:
     """Quadrature approximation of (f * g)(s, t) = int_s^t g(s, tau) f(tau, t) dtau.
 
     The forward product of the solvers' weights w_j(m) (``_lag_weights``), for any rule:
@@ -159,18 +164,15 @@ def density_convolve(f: TwoTimeMatrix, g: TwoTimeMatrix, rule: str = "trapezoid"
     node at the even interior weight, a second the odd lags where their weight differs (Simpson),
     and the nodes j = 0, 1 and m are then corrected.  The (s, s) diagonal is exactly zero.
     """
-    def by_span(w: np.ndarray) -> np.ndarray:  # the read-only n x n view of w[t - s], zero below the diagonal
-        return np.lib.stride_tricks.sliding_window_view(np.concatenate((np.zeros(len(w) - 1), w)), len(w))[::-1]
-
     require_same_grid(f, g)
     span = np.arange(f.n_points)
     first, second, odd, even, last = _lag_weights(rule, len(span), f.grid.step_h)
     fv, gv = f.values, g.values
-    out = by_span(even) * _triu_product(gv, fv)
+    out = _by_span(even) * _triu_product(gv, fv)
     if np.any(odd != even):
-        out += by_span(odd - even) * _triu_product(gv * by_span(span % 2), fv)
-    out += by_span(first - even) * (np.diagonal(gv)[:, None] * fv)  # j = 0
-    out[:-1] += by_span(np.where(span > 1, second - odd, 0.0))[:-1] * (np.diagonal(gv, 1)[:, None] * fv[1:])
-    out += by_span(last - np.where(span % 2, odd, even)) * (gv * np.diagonal(fv))  # j = m
+        out += _by_span(odd - even) * _triu_product(gv * _by_span(span % 2), fv)
+    out += _by_span(first - even) * (np.diagonal(gv)[:, None] * fv)  # j = 0
+    out[:-1] += _by_span(np.where(span > 1, second - odd, 0.0))[:-1] * (np.diagonal(gv, 1)[:, None] * fv[1:])
+    out += _by_span(last - np.where(span % 2, odd, even)) * (gv * np.diagonal(fv))  # j = m
     np.fill_diagonal(out, 0.0)
     return TwoTimeMatrix(f.grid, out, "generic")

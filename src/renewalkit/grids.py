@@ -72,10 +72,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", float(self.origin))
         object.__setattr__(self, "step_h", float(self.step_h))
-        try:
-            object.__setattr__(self, "n_points", operator.index(self.n_points))
-        except TypeError:
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
+        object.__setattr__(self, "n_points", require_index(self.n_points, "n_points"))
         if not math.isfinite(self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
         if not 0 < self.step_h < math.inf:
@@ -216,6 +213,22 @@ def require_kind(matrix: TwoTimeMatrix, *kinds: str) -> None:
     """Accept a matrix of one of ``kinds``; the error names the first."""
     if matrix.kind not in kinds:
         raise ValueError(f"expected a {kinds[0]} matrix, got kind {matrix.kind!r}")
+
+
+def require_index(value: object, name: str) -> int:
+    """``value`` as a Python int by ``operator.index`` (``True`` is 1, ``3.0`` is no integer); the error names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_window(matrix: TwoTimeMatrix, start: object, horizon: object) -> tuple[int, int]:
+    """The grid indices (start, horizon) as Python ints, if 0 <= start <= horizon < n."""
+    start, horizon = require_index(start, "window start"), require_index(horizon, "window horizon")
+    if not 0 <= start <= horizon < matrix.n_points:
+        raise ValueError(f"window ({start}, {horizon}) outside the grid: need 0 <= start <= horizon < {matrix.n_points}")
+    return start, horizon
 
 
 _HEADER_RE = re.compile(

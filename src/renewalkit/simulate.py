@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TwoTimeMatrix, require_kind
+from .grids import TwoTimeMatrix, require_index, require_kind, require_window
 
 __all__ = ["RNG_NAME", "STREAM_NAME", "RenewalEstimate", "estimate_renewal_function", "sample_path"]
 
@@ -58,11 +58,9 @@ class RenewalEstimate:
         return np.arange(self.start_idx, self.horizon_idx + 1)
 
 
-def _check_inputs(F: TwoTimeMatrix, start_idx: int, horizon_idx: int) -> None:
+def _check_inputs(F: TwoTimeMatrix, start_idx: int, horizon_idx: int) -> tuple[int, int]:
     require_kind(F, "distribution")
-    n = F.n_points
-    if not 0 <= start_idx <= horizon_idx < n:
-        raise ValueError(f"window ({start_idx}, {horizon_idx}) outside the grid: need 0 <= start <= horizon < {n}")
+    return require_window(F, start_idx, horizon_idx)
 
 
 def sample_path(
@@ -73,10 +71,9 @@ def sample_path(
     Each step inverts the cumulative row of the current renewal age with one
     uniform draw on (0, 1].
     """
-    _check_inputs(F, start_idx, horizon_idx)
+    cur, horizon_idx = _check_inputs(F, start_idx, horizon_idx)
     rows, random = F.rows, rng.random
     path: list[int] = []
-    cur = start_idx
     while True:
         # len(row) when the draw is past a defective row's total
         nxt = bisect_left(rows[cur], 1.0 - random())
@@ -115,7 +112,9 @@ def estimate_renewal_function(
     """Monte Carlo estimate of H(start, t) for every t up to the horizon.
 
     It steps n_paths >= 1 paths on PCG64 seeded with seed >= 0, and checks
-    the window and F's kind as ``sample_path`` does.
+    the window and F's kind as ``sample_path`` does.  n_paths, seed and the
+    window are read by ``operator.index``, as ``TimeGrid`` reads its
+    ``n_points``: ``True`` is 1, and a float fails with its argument named.
 
     The stream is step-major: paths run in groups of ``_GROUP``, in path
     order, and at each step a group draws one uniform per live path, in
@@ -130,12 +129,11 @@ def estimate_renewal_function(
     memory is a few arrays of one group's paths plus a table no larger than
     F, whatever the span.
     """
-    if n_paths < 1:
+    if (n_paths := require_index(n_paths, "n_paths")) < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if seed < 0:
+    if (seed := require_index(seed, "seed")) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    _check_inputs(F, start_idx, horizon_idx)
-    start, horizon = start_idx, horizon_idx
+    start, horizon = _check_inputs(F, start_idx, horizon_idx)
     span = horizon - start + 1
     rng = np.random.default_rng(seed)
     hits = np.zeros(span, dtype=np.int64)

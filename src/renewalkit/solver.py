@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import RULE_WEIGHTS, _lag_weights, _triu_product, convolution_powers, increments_from_df
-from .grids import TimeGrid, TwoTimeMatrix, require_kind, require_same_grid
+from .convolve import RULE_WEIGHTS, _by_span, _lag_weights, _triu_product, convolution_powers, increments_from_df
+from .grids import TimeGrid, TwoTimeMatrix, require_kind, require_same_grid, require_window
 
 __all__ = [
     "CountingPmf",
@@ -204,13 +204,12 @@ def counting_pmf(
     With F^(0)(s, t) = 1, p_n = F^(n)(s, t) - F^(n+1)(s, t), clamped at zero
     against float noise; the chain is truncated at the first order whose
     mass at (s, t) drops below ``tol``, which bounds the discarded tail by
-    that same value.  At most t - s + 1 orders are nonzero.
+    that same value.  At most t - s + 1 orders are nonzero.  The window
+    (s, t) is checked as the samplers check theirs (``grids.require_window``).
     """
     if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
-    n = F.n_points
-    if not (0 <= s_idx <= t_idx < n):
-        raise ValueError(f"need 0 <= s <= t < {n}, got ({s_idx}, {t_idx})")
+    s_idx, t_idx = require_window(F, s_idx, t_idx)
     probs, prev = [], 1.0
     for col in convolution_powers(F, F.values[:, t_idx].copy()):  # F^(order)(., t)
         cur = col[s_idx]
@@ -228,9 +227,7 @@ def lift_duration_function(values: np.ndarray, grid: TimeGrid, kind: str = "gene
         raise ValueError(
             f"need one value per grid point ({grid.n_points}), got shape {values.shape}"
         )
-    lag = np.arange(grid.n_points)
-    # the type zeroes the strict lower triangle, where this fills values[s - t]
-    return TwoTimeMatrix(grid, values[np.abs(lag - lag[:, None])], kind)
+    return TwoTimeMatrix(grid, _by_span(values), kind)
 
 
 def homogeneous_lift(F1: np.ndarray, grid: TimeGrid) -> TwoTimeMatrix:

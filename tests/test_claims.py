@@ -19,6 +19,7 @@ from renewalkit.claims import (
     ClaimRecords,
     DurationHistogram,
     IngestReport,
+    OccurrenceTable,
     build_duration_histogram,
     build_occurrence_table,
     histogram_to_df,
@@ -564,6 +565,61 @@ def test_claim_records_rejects_malformed_columns():
     with pytest.raises(ValueError, match="entry ages must be >= 18"):
         ClaimRecords(("A",), [17], [], [])
     assert not _records(("A", 20, (25, 30))).claim_age.flags.writeable
+
+
+def test_ingest_names_a_csv_error_in_the_header_and_an_empty_file(csv_writer, tmp_path):
+    p, c = csv_writer([("A", 24)], [("A", 30)])
+    limit = csv.field_size_limit()
+    for file, head in (("policies", "policy_id,entry_age"), ("claims", "policy_id,claim_age")):
+        cases = {
+            "long-header": (f"{head}{'X' * limit}\nA,30\n".encode(), f"1: field larger than field limit ({limit})"),
+            "empty": (b"", f"1: empty file, expected header {head}"),
+            "bom-only": (b"\xef\xbb\xbf", f"1: empty file, expected header {head}"),
+        }
+        for name, (data, want) in cases.items():
+            bad = tmp_path / f"{name}-{file}.csv"
+            bad.write_bytes(data)
+            with pytest.raises(ValueError) as exc:
+                ingest(*((bad, c) if file == "policies" else (p, bad)))
+            assert str(exc.value) == f"{bad}:{want}"
+
+
+def test_duration_histogram_rejects_malformed_counts():
+    for counts in ([[0, 1]], [1, 2], []):  # 2-d, counts[0] != 0, empty
+        with pytest.raises(ValueError) as exc:
+            DurationHistogram(counts)
+        assert str(exc.value) == "counts must be a 1-d array with counts[0] = 0"
+    with pytest.raises(ValueError) as exc:
+        DurationHistogram([0, 3, -1])
+    assert str(exc.value) == "counts must be nonnegative"
+
+
+@pytest.mark.parametrize("cap", [10, 18, 151, 1000])
+def test_occurrence_table_rejects_a_cap_its_builders_reject(cap):
+    # counts of the cap's shape where it has one, so only the cap can fail
+    n = max(cap - BASE_AGE + 1, 1)
+    message = f"cap_age must be in ({BASE_AGE}, {MAX_AGE}], got {cap}"
+    with pytest.raises(ValueError) as by_type:
+        OccurrenceTable(np.zeros((n, n), dtype=np.int64), cap_age=cap)
+    with pytest.raises(ValueError) as by_builder:
+        build_occurrence_table(_records(("A", 20, (25,))), cap)
+    assert [str(by_type.value), str(by_builder.value)] == [message, message]
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (np.zeros((3, 3)), "counts shape (3, 3) does not match age range (2, 2)"),
+        ([[0, -1], [0, 0]], "counts must be nonnegative"),
+        ([[1, 0], [0, 0]], "counts must vanish for s >= t; n(0,0) != 0"),
+        ([[0, 1], [2, 0]], "counts must vanish for s >= t; n(1,0) != 0"),
+    ],
+    ids=["shape", "negative", "diagonal", "below-diagonal"],
+)
+def test_occurrence_table_rejects_malformed_counts(counts, message):
+    with pytest.raises(ValueError) as exc:
+        OccurrenceTable(counts, cap_age=19)
+    assert str(exc.value) == message
 
 
 # -- the per-policy loops the columnar pipeline replaced, kept as the oracle --

@@ -8,6 +8,7 @@ from scipy import stats
 
 from renewalkit import simulate
 from renewalkit.grids import TimeGrid, TwoTimeMatrix
+from renewalkit.reports import write_simulation_report
 from renewalkit.simulate import estimate_renewal_function, sample_path
 from renewalkit.solver import counting_pmf, homogeneous_lift, solve_discrete
 from renewalkit.testing import geometric_law, random_defective_df
@@ -404,6 +405,41 @@ def test_both_samplers_check_the_window_and_kind_alike(kind, start, horizon, mes
     with pytest.raises(ValueError) as by_estimate:
         estimate_renewal_function(M, start, horizon, n_paths=10, seed=1)
     assert [str(by_path.value), str(by_estimate.value)] == [message, message]
+
+
+def test_true_counts_read_as_one_in_the_replay_header(tmp_path):
+    # a count or seed is read by operator.index, so the header replays the run with plain ints
+    F = geometric_law(0.5, 7)
+    by_bool = estimate_renewal_function(F, 0, 7, n_paths=True, seed=True)
+    by_int = estimate_renewal_function(F, 0, 7, n_paths=1, seed=1)
+    write_simulation_report(by_bool, F, tmp_path / "bool.tsv")
+    write_simulation_report(by_int, F, tmp_path / "int.tsv")
+    head = (tmp_path / "bool.tsv").read_text().splitlines()[0]
+    assert " seed=1 n_paths=1 " in head
+    assert (tmp_path / "bool.tsv").read_bytes() == (tmp_path / "int.tsv").read_bytes()
+    assert type(by_bool.n_paths) is int and type(by_bool.seed) is int
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"n_paths": 10.0}, "n_paths must be an integer, got 10.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"start": 0.0}, "window start must be an integer, got 0.0"),
+        ({"horizon": 5.0}, "window horizon must be an integer, got 5.0"),
+    ],
+    ids=["n-paths", "seed", "start", "horizon"],
+)
+def test_a_float_count_seed_or_index_fails_naming_it(setting, message):
+    F = geometric_law(0.5, 7)
+    a = {"start": 0, "horizon": 5, "n_paths": 10, "seed": 1, **setting}
+    with pytest.raises(ValueError) as exc:
+        estimate_renewal_function(F, a["start"], a["horizon"], n_paths=a["n_paths"], seed=a["seed"])
+    assert str(exc.value) == message
+    if "start" in setting or "horizon" in setting:  # the path sampler reads its window alike
+        with pytest.raises(ValueError) as exc:
+            sample_path(F, a["start"], a["horizon"], np.random.default_rng(0))
+        assert str(exc.value) == message
 
 
 def _assert_matches_reference(F, start, horizon, **settings):

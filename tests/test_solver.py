@@ -11,6 +11,7 @@ from renewalkit import solver
 from renewalkit.convolve import RULE_WEIGHTS, density_convolve, increments_from_df, nfold_convolution
 from renewalkit.grids import TimeGrid, TwoTimeMatrix, read_matrix_tsv
 from renewalkit.solver import (
+    CountingPmf,
     SolverMethod,
     counting_pmf,
     density_from_differences,
@@ -20,7 +21,7 @@ from renewalkit.solver import (
     solve_quadrature,
     solve_series,
 )
-from renewalkit.simulate import estimate_renewal_function
+from renewalkit.simulate import estimate_renewal_function, sample_path
 from renewalkit.testing import bernoulli_law, geometric_law, nhpp_law, poisson_law, random_defective_df
 
 GRID3 = TimeGrid(0.0, 1.0, 3)
@@ -460,6 +461,39 @@ def test_counting_pmf_accepts_a_total_within_the_validation_slack():
     assert pmf.probs[0] == 0.0
     assert pmf.probs.tolist() == pytest.approx([0.0, 0.5, 0.5], abs=1e-15)
     assert solve_discrete(F).at(0, 2) == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "s, t, message",
+    [
+        (3, 2, "window (3, 2) outside the grid: need 0 <= start <= horizon < 8"),
+        (-1, 5, "window (-1, 5) outside the grid: need 0 <= start <= horizon < 8"),
+        (0, 8, "window (0, 8) outside the grid: need 0 <= start <= horizon < 8"),
+        (0.0, 5, "window start must be an integer, got 0.0"),
+        (0, 5.0, "window horizon must be an integer, got 5.0"),
+    ],
+    ids=["s-past-t", "negative-s", "t-at-n", "float-s", "float-t"],
+)
+def test_counting_pmf_checks_its_window_as_the_samplers_do(s, t, message):
+    F = geometric_law(0.5, 7)  # n = 8
+    with pytest.raises(ValueError) as by_pmf:
+        counting_pmf(F, s, t)
+    with pytest.raises(ValueError) as by_path:
+        sample_path(F, s, t, np.random.default_rng(0))
+    assert [str(by_pmf.value), str(by_path.value)] == [message, message]
+
+
+def test_counting_pmf_type_rejects_a_negative_value_and_mass_off_one():
+    with pytest.raises(ValueError) as exc:
+        CountingPmf(0, 2, np.array([0.5, -0.25, 0.75]), 0.0)
+    assert str(exc.value) == "negative pmf value at n = 1"
+    with pytest.raises(ValueError) as exc:
+        CountingPmf(0, 2, np.array([0.5, 0.25]), 0.0)
+    assert str(exc.value) == "pmf mass 0.75 is not 1 within 1e-12"
+    with pytest.raises(ValueError) as exc:
+        CountingPmf(0, 2, np.array([0.5, 0.5]), 2.0**-30)  # off by 9.3e-10
+    assert str(exc.value) == "pmf mass 1.0000000009313226 is not 1 within 1e-12"
+    assert CountingPmf(0, 2, np.array([0.5, 0.5]), 2.0**-41).truncation_mass == 2.0**-41  # within 1e-12
 
 
 @pytest.mark.parametrize("min_mass", [0.3, 1.0])

@@ -229,6 +229,9 @@ def invocations() -> list[list[str]]:
                      "--out-dir", f"out/{name}"])
     runs.append(["build-df", "--policies", "in/c15/policies.csv", "--claims", "in/c15/claims.csv",
                  "--out-dir", "out/impute-17", "--impute-age", "17"])  # an entry age under 18
+    for corpus in ("c3k", "messy"):  # --zero-duration, --cap-age and --impute-age at their defaults
+        runs.append(["build-df", "--policies", f"in/{corpus}/policies.csv", "--claims", f"in/{corpus}/claims.csv",
+                     "--out-dir", f"out/{corpus}-defaults"])
     for name, df in (("law501", "in/law501.tsv"), ("c3k", "out/c3k-bucket1-60/waiting_df_by_age.tsv"),
                      ("messy", "out/messy-discard-40/waiting_df_by_age.tsv"), ("dip", "in/dip.tsv")):
         for method in METHODS:
